@@ -188,7 +188,8 @@ def qsc_capacity(n: int, p: float) -> float:
         value += p * np.log2(p)
     if p < 1.0:
         value += (1.0 - p) * np.log2((1.0 - p) / (n - 1))
-    return float(value)
+    # exactly 0 at chance; rounding there can leave a few ulps below it
+    return float(max(value, 0.0))
 
 
 def _bac_canonical(p_h0: float, p_h1: float) -> tuple[float, float]:

@@ -63,12 +63,11 @@ from .capacity import (
     write_bits_json,
     z_channel_capacity,
 )
-from .data import SyntheticSpec, generate_synthetic, load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
+from .data import generate_synthetic, load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
 from .experiment import ExperimentConfig, run_experiment, write_experiment_report
-from .hierarchy import TASK_PRESETS, build_task_preset
-from .losses import STUDENT_MODES, DistillConfig
+from .losses import STUDENT_MODES
 from .network import load_checkpoint, save_checkpoint
-from .training import TrainConfig, evaluate, student_train_config, teacher_train_config, train_student, train_teacher
+from .training import TrainConfig, evaluate, train_student, train_teacher
 
 
 class ConfigError(Exception):
@@ -124,11 +123,8 @@ def _train_config(parser, section: str, defaults: TrainConfig) -> TrainConfig:
 
 def _experiment_config(parser) -> ExperimentConfig:
     base = ExperimentConfig()
-    task = _get(parser, "data", "task", str, base.task)
-    if task not in TASK_PRESETS:
-        raise ConfigError(f"unknown task {task!r}; choose from {sorted(TASK_PRESETS)}")
-    cfg = ExperimentConfig(
-        task=task,
+    return ExperimentConfig(
+        task=_get(parser, "data", "task", str, base.task),
         samples_per_subclass=_get(
             parser, "data", "samples_per_subclass", _int_tuple, base.samples_per_subclass
         ),
@@ -137,18 +133,12 @@ def _experiment_config(parser) -> ExperimentConfig:
         train_fraction=_get(parser, "data", "train_fraction", float, base.train_fraction),
         base_seed=_get(parser, "data", "seed", int, base.base_seed),
         n_seeds=_get(parser, "experiment", "n_seeds", int, base.n_seeds),
-        teacher=_train_config(parser, "teacher", teacher_train_config()),
-        student=_train_config(parser, "student", student_train_config()),
+        teacher=_train_config(parser, "teacher", base.teacher),
+        student=_train_config(parser, "student", base.student),
         tau_skd=_get(parser, "distill", "tau_skd", float, base.tau_skd),
         tau_kd=_get(parser, "distill", "tau_kd", float, base.tau_kd),
         lam=_get(parser, "distill", "lam", float, base.lam),
     )
-    n_sub = build_task_preset(task).total_subclasses
-    if len(cfg.samples_per_subclass) != n_sub:
-        raise ConfigError(
-            f"samples_per_subclass has {len(cfg.samples_per_subclass)} entries, task {task} needs {n_sub}"
-        )
-    return cfg
 
 
 def _read_matrix(path) -> np.ndarray:
@@ -179,14 +169,8 @@ def _read_matrix(path) -> np.ndarray:
 def cmd_generate(args) -> int:
     parser, _ = _load_ini(args.config)
     cfg = _experiment_config(parser)
-    hierarchy = cfg.hierarchy()
-    spec = SyntheticSpec(
-        hierarchy=hierarchy,
-        samples_per_subclass=cfg.samples_per_subclass,
-        difficulty=cfg.difficulty,
-        feature_dim=cfg.feature_dim,
-        seed=cfg.base_seed,
-    )
+    spec = cfg.data_spec(cfg.base_seed)
+    hierarchy = spec.hierarchy
     full = generate_synthetic(spec)
     train_set, test_set = split_dataset(full, cfg.train_fraction, cfg.base_seed)
     out = Path(args.out)
@@ -213,45 +197,39 @@ def _load_data_dir(data_dir):
 
 def cmd_train(args) -> int:
     parser, cfg_text = _load_ini(args.config)
+    cfg = _experiment_config(parser)
     hierarchy, train_set, test_set = _load_data_dir(args.data)
-    seed = _get(parser, "data", "seed", int, 1000)
-    lam = _get(parser, "distill", "lam", float, 0.45)
+    seed = cfg.base_seed
 
     if args.role == "teacher":
         if args.mode is not None or args.teacher is not None:
             raise ConfigError("--mode and --teacher apply only to --role student")
-        tc = replace(_train_config(parser, "teacher", teacher_train_config()), seed=seed)
-        result = train_teacher(train_set, hierarchy, tc, args.labels)
+        result = train_teacher(train_set, hierarchy, replace(cfg.teacher, seed=seed), args.labels)
         level, mode = args.labels, None
     else:
         if args.mode is None:
             raise ConfigError("--role student requires --mode")
-        if args.mode in ("kd", "skd"):
-            tau_key = "tau_kd" if args.mode == "kd" else "tau_skd"
-            tau = _get(parser, "distill", tau_key, float, 128.0 if args.mode == "kd" else 5.0)
+        distill = cfg.distill_config(args.mode)
+        level = "subclass" if distill.subclass_level else "class"
+        if distill.uses_teacher:
             if args.teacher is None:
                 raise ConfigError(f"--mode {args.mode} requires --teacher")
             teacher_path = Path(args.teacher)
             if not teacher_path.is_file():
                 raise ConfigError(f"teacher checkpoint not found: {teacher_path}")
             teacher, meta = load_checkpoint(teacher_path)
-            needed = "class" if args.mode == "kd" else "subclass"
             got = meta.get("label_level")
-            if got != needed:
+            if got != level:
                 raise ConfigError(
-                    f"teacher level mismatch: --mode {args.mode} needs a {needed}-level "
+                    f"teacher level mismatch: --mode {args.mode} needs a {level}-level "
                     f"teacher, checkpoint is {got!r}"
                 )
         else:
-            tau, teacher = 1.0, None
+            teacher = None
             if args.teacher is not None:
                 raise ConfigError(f"--mode {args.mode} takes no --teacher")
-        distill = DistillConfig(mode=args.mode, tau=tau, lam=lam)
-        sc = replace(
-            _train_config(parser, "student", student_train_config()), seed=seed, distill=distill
-        )
+        sc = replace(cfg.student, seed=seed, distill=distill)
         result = train_student(train_set, hierarchy, sc, teacher=teacher)
-        level = "subclass" if distill.subclass_level else "class"
         mode = args.mode
 
     metrics = evaluate(result.network, test_set, hierarchy, level)

@@ -67,7 +67,7 @@ class SyntheticSpec:
         counts = tuple(int(n) for n in self.samples_per_subclass)
         if len(counts) != S:
             raise ValueError(
-                f"samples_per_subclass has {len(counts)} entries, hierarchy has {S} subclasses"
+                f"samples_per_subclass has {len(counts)} entries, the hierarchy needs {S}"
             )
         if any(n < 0 for n in counts):
             raise ValueError("sample counts must be nonnegative")

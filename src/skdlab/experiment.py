@@ -58,8 +58,25 @@ class ExperimentConfig:
     tau_kd: float = TAU_KD
     lam: float = DEFAULT_LAM
 
+    def __post_init__(self):
+        # reject a bad task, count, difficulty, split, tau or lam before any seed trains
+        self.data_spec(self.base_seed)
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        for mode in ("kd", "skd"):
+            self.distill_config(mode)
+
     def hierarchy(self) -> LabelHierarchy:
         return build_task_preset(self.task)
+
+    def data_spec(self, seed: int) -> SyntheticSpec:
+        return SyntheticSpec(
+            self.hierarchy(), self.samples_per_subclass, self.difficulty, self.feature_dim, seed
+        )
+
+    def distill_config(self, mode: str) -> DistillConfig:
+        tau = {"kd": self.tau_kd, "skd": self.tau_skd}.get(mode, 1.0)
+        return DistillConfig(mode=mode, tau=tau, lam=self.lam)
 
     def to_dict(self) -> dict:
         def train_dict(cfg: TrainConfig) -> dict:
@@ -100,14 +117,8 @@ def sl22_trend_config(**overrides) -> ExperimentConfig:
 
 def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
     """Generate, split, train all six variants, evaluate at class level."""
-    hierarchy = cfg.hierarchy()
-    spec = SyntheticSpec(
-        hierarchy=hierarchy,
-        samples_per_subclass=cfg.samples_per_subclass,
-        difficulty=cfg.difficulty,
-        feature_dim=cfg.feature_dim,
-        seed=seed,
-    )
+    spec = cfg.data_spec(seed)
+    hierarchy = spec.hierarchy
     full = generate_synthetic(spec)
     train_set, test_set = split_dataset(full, cfg.train_fraction, seed)
 
@@ -117,9 +128,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
     teacher_class = train_teacher(train_set, hierarchy, teacher_cfg, "class").network
     teacher_sub = train_teacher(train_set, hierarchy, teacher_cfg, "subclass").network
 
-    def student(mode: str, tau: float = 1.0, teacher=None):
-        dcfg = DistillConfig(mode=mode, tau=tau, lam=cfg.lam)
-        scfg = replace(student_cfg, distill=dcfg)
+    def student(mode: str, teacher=None):
+        scfg = replace(student_cfg, distill=cfg.distill_config(mode))
         return train_student(train_set, hierarchy, scfg, teacher=teacher).network
 
     nets = {
@@ -127,8 +137,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
         "teacher_subclass": (teacher_sub, "subclass"),
         "student_baseline": (student("baseline"), "class"),
         "student_subclass": (student("subclass"), "subclass"),
-        "student_kd": (student("kd", cfg.tau_kd, teacher_class), "class"),
-        "student_skd": (student("skd", cfg.tau_skd, teacher_sub), "subclass"),
+        "student_kd": (student("kd", teacher_class), "class"),
+        "student_skd": (student("skd", teacher_sub), "subclass"),
     }
     return {
         name: evaluate(net, test_set, hierarchy, level) for name, (net, level) in nets.items()

@@ -20,12 +20,13 @@ distillation and plain baseline training it targets class labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hierarchy import LabelHierarchy
-from .network import log_softmax_temperature, softmax_temperature
+from .network import log_softmax_temperature, softmax_and_log_softmax, softmax_temperature
 
 PROB_FLOOR = 1e-300
 
@@ -99,9 +100,8 @@ def _batch_logits(name, *arrays):
 def skd_loss(teacher_logits, student_logits, tau: float) -> float:
     """Batch-mean KL between softened teacher and student subclass outputs."""
     t, s = _batch_logits("skd_loss", teacher_logits, student_logits)
-    pt = softmax_temperature(t, tau)
+    pt, log_pt = softmax_and_log_softmax(t, tau)
     log_ps = log_softmax_temperature(s, tau)
-    log_pt = log_softmax_temperature(t, tau)
     per_sample = np.sum(pt * (log_pt - log_ps), axis=1)
     return float(np.mean(per_sample))
 
@@ -133,21 +133,27 @@ def aggregate_class_probabilities(subclass_probs, hierarchy: LabelHierarchy) -> 
 
 # ---------------------------------------------------------------------------
 # Loss specs: the output-layer stories handed to network.backward.  Each
-# exposes loss_and_logit_grad(logits) -> (batch-mean loss, dL/dlogits).
+# exposes loss_and_logit_grad(logits) -> (batch-mean loss, dL/dlogits);
+# the training loop's specs also expose rows(index), the spec on a subset.
 # Gradients are exact analytic derivatives:
 #   d(mean CE)/dz      = (softmax(z) - onehot) / n
 #   d(mean distill)/dz = (softmax(z/tau) - softmax(t/tau)) / (n * tau)
 
 
-def _one_hot(labels, width):
+def _cross_entropy_and_grad(z, labels):
     y = np.asarray(labels, dtype=int).ravel()
     if y.size == 0:
         raise ValueError("empty label batch")
-    if y.min() < 0 or y.max() >= width:
-        raise ValueError(f"label out of range for width {width}")
-    hot = np.zeros((y.size, width))
-    hot[np.arange(y.size), y] = 1.0
-    return hot
+    if y.min() < 0 or y.max() >= z.shape[1]:
+        raise ValueError(f"label out of range for width {z.shape[1]}")
+    if y.size != z.shape[0]:
+        raise ValueError("labels do not match batch size")
+    n = y.size
+    hot = np.zeros((n, z.shape[1]))
+    hot[np.arange(n), y] = 1.0
+    p, log_p = softmax_and_log_softmax(z, 1.0)
+    loss = -(hot * log_p).sum() / n
+    return float(loss), (p - hot) / n
 
 
 @dataclass
@@ -156,16 +162,12 @@ class CrossEntropyOnLabels:
 
     labels: np.ndarray
 
+    def rows(self, index) -> "CrossEntropyOnLabels":
+        """The same loss on a subset of samples (an index array or a slice)."""
+        return CrossEntropyOnLabels(np.asarray(self.labels)[index])
+
     def loss_and_logit_grad(self, logits):
-        z = np.atleast_2d(logits)
-        hot = _one_hot(self.labels, z.shape[1])
-        if hot.shape[0] != z.shape[0]:
-            raise ValueError("labels do not match batch size")
-        n = z.shape[0]
-        log_p = log_softmax_temperature(z, 1.0)
-        loss = -np.sum(hot * log_p) / n
-        grad = (softmax_temperature(z, 1.0) - hot) / n
-        return float(loss), grad
+        return _cross_entropy_and_grad(np.atleast_2d(logits), self.labels)
 
 
 @dataclass
@@ -188,22 +190,48 @@ class DistillAgainstTeacher:
 
 @dataclass
 class CombinedObjective:
-    """lam * CE(labels) + (1 - lam) * softened KL(teacher)."""
+    """lam * CE(labels) + (1 - lam) * softened KL(teacher).
+
+    The frozen teacher's softened targets are computed once, at construction;
+    rows() slices them.
+    """
 
     labels: np.ndarray
     teacher_logits: np.ndarray
     tau: float
     lam: float
+    _teacher_probs: np.ndarray = field(init=False, repr=False)
+    _teacher_log_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
+        self.labels = np.asarray(self.labels)
+        self.teacher_logits = np.atleast_2d(np.asarray(self.teacher_logits, dtype=float))
+        self._teacher_probs, self._teacher_log_probs = softmax_and_log_softmax(
+            self.teacher_logits, self.tau
+        )
+
+    def rows(self, index) -> "CombinedObjective":
+        """The same objective on a subset of samples (an index array or a slice)."""
+        sub = copy.copy(self)
+        sub.labels = self.labels[index]
+        sub.teacher_logits = self.teacher_logits[index]
+        sub._teacher_probs = self._teacher_probs[index]
+        sub._teacher_log_probs = self._teacher_log_probs[index]
+        return sub
 
     def loss_and_logit_grad(self, logits):
-        ce_loss, ce_grad = CrossEntropyOnLabels(self.labels).loss_and_logit_grad(logits)
-        kd_loss_v, kd_grad = DistillAgainstTeacher(
-            self.teacher_logits, self.tau
-        ).loss_and_logit_grad(logits)
-        loss = student_objective(ce_loss, kd_loss_v, self.lam)
+        z = np.atleast_2d(logits)
+        ce_loss, ce_grad = _cross_entropy_and_grad(z, self.labels)
+        pt = self._teacher_probs
+        if pt.shape != z.shape:
+            raise ValueError(f"teacher logits {pt.shape} do not match student {z.shape}")
+        # the expressions of skd_loss and DistillAgainstTeacher, teacher terms precomputed
+        n = z.shape[0]
+        p, log_p = softmax_and_log_softmax(z, self.tau)
+        kd_loss = float((pt * (self._teacher_log_probs - log_p)).sum(axis=1).mean())
+        kd_grad = (p - pt) / (n * self.tau)
+        loss = self.lam * ce_loss + (1.0 - self.lam) * kd_loss
         grad = self.lam * ce_grad + (1.0 - self.lam) * kd_grad
         return float(loss), grad

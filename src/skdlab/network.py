@@ -4,12 +4,18 @@ Fully-connected layers, ReLU hidden activations, linear output layer.
 Everything is 64-bit: the finite-difference gradient checks this package
 leans on are unreliable in 32-bit.  No framework autodiff anywhere; the
 backward pass is the chain rule written out.
+
+A network's parameters live in one flat float64 vector (all weights, then
+all biases) that ``weights`` and ``biases`` view; the optimizer's moments
+are two vectors of the same layout, so an Adam step is one vectorised update.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -18,9 +24,23 @@ CHECKPOINT_FORMAT = "skdlab-net-v1"
 
 @dataclass
 class DenseNetwork:
+    """Layer sizes plus parameters; the given arrays are copied into one flat vector."""
+
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims = tuple(self.layer_dims)
+        shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
+        arrays = list(self.weights) + list(self.biases)
+        if [np.shape(a) for a in arrays] != shapes:
+            raise ValueError("parameter arrays do not match layer_dims")
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        pieces = np.split(self.params, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        views = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+        self.weights, self.biases = views[: len(dims) - 1], views[len(dims) - 1 :]
 
     @property
     def num_outputs(self) -> int:
@@ -31,24 +51,22 @@ class DenseNetwork:
         return self.layer_dims[0]
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
+
+    def flat_parameters(self) -> np.ndarray:
+        """The vector behind weights and biases, after copying in any array replaced since."""
+        if any(a.base is not self.params for a in self.weights + self.biases):
+            self.__post_init__()
+        return self.params
 
     def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return DenseNetwork(self.layer_dims, self.weights, self.biases)
 
 
 @dataclass
 class GradientSet:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-
-    def max_abs(self) -> float:
-        parts = [np.max(np.abs(g)) if g.size else 0.0 for g in self.d_weights + self.d_biases]
-        return float(max(parts))
 
 
 def init_network(layer_dims, seed) -> DenseNetwork:
@@ -87,22 +105,24 @@ def forward(net: DenseNetwork, features) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
-    """Temperature softmax with max-subtraction; tau=1 is the plain softmax."""
+def softmax_and_log_softmax(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature softmax and log-softmax from one max-subtraction, exp and sum pass."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     z = np.asarray(logits, dtype=float) / tau
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, z - np.log(total)
+
+
+def softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
+    """Temperature softmax with max-subtraction; tau=1 is the plain softmax."""
+    return softmax_and_log_softmax(logits, tau)[0]
 
 
 def log_softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    z = np.asarray(logits, dtype=float) / tau
-    z = z - np.max(z, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return softmax_and_log_softmax(logits, tau)[1]
 
 
 def argmax_lowest_tie(values) -> np.ndarray:
@@ -130,7 +150,7 @@ def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet
         activations.append(a)
     logits = a @ net.weights[-1] + net.biases[-1]
     loss, d_logits = loss_spec.loss_and_logit_grad(logits)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
     d_weights = [np.empty(0)] * len(net.weights)
@@ -148,8 +168,10 @@ def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet
 class OptimizerState:
     """Adaptive-moment optimizer with bias correction and decoupled weight decay.
 
-    The learning rate is multiplied by lr_decay at each epoch boundary
-    (call end_epoch once per epoch).
+    The moments m and v are flat vectors in the layout of
+    DenseNetwork.params, allocated at the first step.  The learning rate is
+    multiplied by lr_decay at each epoch boundary (call end_epoch once per
+    epoch).
     """
 
     learning_rate: float = 1e-3
@@ -159,44 +181,31 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
-
-    def ensure_shapes(self, net: DenseNetwork) -> None:
-        if not self.m_w:
-            self.m_w = [np.zeros_like(w) for w in net.weights]
-            self.v_w = [np.zeros_like(w) for w in net.weights]
-            self.m_b = [np.zeros_like(b) for b in net.biases]
-            self.v_b = [np.zeros_like(b) for b in net.biases]
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
     def end_epoch(self) -> None:
         self.learning_rate *= self.lr_decay
 
 
 def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState) -> None:
-    """One in-place parameter update."""
-    state.ensure_shapes(net)
-    for g in grads.d_weights + grads.d_biases:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
+    """One in-place parameter update over the network's flat parameter vector."""
+    g = np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite gradient")
+    params = net.flat_parameters()
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     lr, wd, eps = state.learning_rate, state.weight_decay, state.eps
-    for i in range(len(net.weights)):
-        state.m_w[i] = b1 * state.m_w[i] + (1 - b1) * grads.d_weights[i]
-        state.v_w[i] = b2 * state.v_w[i] + (1 - b2) * grads.d_weights[i] ** 2
-        m_hat = state.m_w[i] / (1 - b1 ** t)
-        v_hat = state.v_w[i] / (1 - b2 ** t)
-        net.weights[i] -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * net.weights[i]
-
-        state.m_b[i] = b1 * state.m_b[i] + (1 - b1) * grads.d_biases[i]
-        state.v_b[i] = b2 * state.v_b[i] + (1 - b2) * grads.d_biases[i] ** 2
-        m_hat = state.m_b[i] / (1 - b1 ** t)
-        v_hat = state.v_b[i] / (1 - b2 ** t)
-        net.biases[i] -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * net.biases[i]
+    state.m = b1 * state.m + (1 - b1) * g
+    state.v = b2 * state.v + (1 - b2) * g ** 2
+    m_hat = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * params
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +231,14 @@ def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    dims = tuple(payload["layer_dims"])
-    weights = [np.array(w, dtype=float) for w in payload["weights"]]
-    biases = [np.array(b, dtype=float) for b in payload["biases"]]
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if weights[i].shape != (fan_in, fan_out) or biases[i].shape != (fan_out,):
-            raise ValueError(f"{path}: parameter shapes do not match layer_dims")
+    try:
+        net = DenseNetwork(
+            tuple(payload["layer_dims"]),
+            [np.array(w, dtype=float) for w in payload["weights"]],
+            [np.array(b, dtype=float) for b in payload["biases"]],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     meta = {k: v for k, v in payload.items()
             if k not in {"format", "layer_dims", "weights", "biases"}}
-    return DenseNetwork(dims, weights, biases), meta
+    return net, meta

@@ -94,15 +94,12 @@ def _check_hierarchy(ds: Dataset, hierarchy: LabelHierarchy) -> None:
         raise ValueError("dataset hierarchy does not match the requested hierarchy")
 
 
-def _run_training(
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_outputs: int,
-    cfg: TrainConfig,
-    teacher_logits: Optional[np.ndarray],
-    tau: float,
-    lam: float,
-) -> TrainResult:
+def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig) -> TrainResult:
+    """Minibatch training of a fresh network on spec, a loss over all of features' rows.
+
+    Each epoch gathers the shuffled features and loss rows once; the
+    batches are contiguous slices of that gather.
+    """
     dims = (features.shape[1], *cfg.hidden_layers, num_outputs)
     net = init_network(dims, [cfg.seed, 0])
     state = OptimizerState(
@@ -115,14 +112,11 @@ def _run_training(
     loss_per_epoch = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
+        epoch_features, epoch_spec = features[order], spec.rows(order)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            if teacher_logits is None:
-                spec = CrossEntropyOnLabels(labels[idx])
-            else:
-                spec = CombinedObjective(labels[idx], teacher_logits[idx], tau, lam)
-            loss, grads = backward(net, features[idx], spec)
+            batch = slice(start, start + cfg.batch_size)
+            loss, grads = backward(net, epoch_features[batch], epoch_spec.rows(batch))
             optimizer_step(net, grads, state)
             batch_losses.append(loss)
         state.end_epoch()
@@ -148,7 +142,7 @@ def train_teacher(
         width, labels = hierarchy.total_subclasses, train_set.subclass_labels
     else:
         raise ValueError("label_level must be 'class' or 'subclass'")
-    return _run_training(train_set.features, labels, width, cfg, None, 1.0, 1.0)
+    return _run_training(train_set.features, CrossEntropyOnLabels(labels), width, cfg)
 
 
 def train_student(
@@ -169,7 +163,7 @@ def train_student(
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
-        return _run_training(train_set.features, labels, width, cfg, None, 1.0, 1.0)
+        return _run_training(train_set.features, CrossEntropyOnLabels(labels), width, cfg)
     if teacher is None:
         raise ValueError(f"mode {distill.mode!r} requires a teacher")
     if teacher.num_outputs != width:
@@ -178,11 +172,11 @@ def train_student(
             f"teacher level mismatch: mode {distill.mode!r} needs a {level}-level "
             f"teacher with {width} outputs, got {teacher.num_outputs}"
         )
-    # teacher is frozen: its logits are fixed targets computed up front
-    teacher_logits = forward(teacher, train_set.features)
-    return _run_training(
-        train_set.features, labels, width, cfg, teacher_logits, distill.tau, distill.lam
+    # teacher is frozen: its logits and softened targets are computed once, up front
+    spec = CombinedObjective(
+        labels, forward(teacher, train_set.features), distill.tau, distill.lam
     )
+    return _run_training(train_set.features, spec, width, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,11 @@ class TestQscCapacity:
         # still evaluated: uniform-input mutual information, not a capacity
         assert math.isfinite(value)
 
+    def test_exactly_zero_at_chance(self):
+        # log2(n) + (1/n)log2(1/n) + ... rounds a few ulps below 0 for n = 3, 6, 13, 19
+        for n in range(2, 21):
+            assert qsc_capacity(n, 1.0 / n) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             qsc_capacity(1, 0.5)
@@ -283,6 +288,14 @@ class TestHierarchyBound:
             HierarchyBitsParams(h, 0.5, (0.5, 0.5), ((4, 4), (4, 4)))
         )
         assert got.total_bits == pytest.approx(0.0, abs=1e-12)
+
+    def test_chance_level_teacher(self):
+        h = LabelHierarchy((3, 3))
+        got = hierarchy_bits_bound(
+            HierarchyBitsParams(h, 0.9, (1 / 3, 1 / 3), ((4, 4, 4), (4, 4, 4)))
+        )
+        assert got.subclass_bits == 0.0
+        assert got.total_bits == got.class_bits
 
     def test_zero_sample_count_rejected(self):
         h = LabelHierarchy((2, 1))

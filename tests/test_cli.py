@@ -315,6 +315,22 @@ class TestEvaluateCommand:
         )
         assert code == 2 and "width" in err
 
+    def test_truncated_checkpoint_is_an_input_error(self, capsys, tiny_config, data_dir, tmp_path):
+        tdir = tmp_path / "teacher"
+        run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "-o", str(tdir),
+        )
+        ckpt = tdir / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        payload["weights"].pop()
+        payload["biases"].pop()
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
+        )
+        assert code == 2 and "checkpoint.json" in err
+
     def test_missing_checkpoint(self, capsys, data_dir):
         code, _, err = run(
             capsys, "evaluate", "--checkpoint", "missing.json", "--data", str(data_dir)
@@ -344,6 +360,22 @@ class TestExperimentCommand:
         # reports carry no timestamps, so parallel reruns match byte for byte
         for name in ("report.json", "summary.csv", "per_seed.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "section", ["[distill]\nlam = 1.5\n", "[distill]\ntau_kd = 0\n",
+                    "[data]\ndifficulty = 0.2,0.8\n", "[data]\ntrain_fraction = 1.5\n"],
+    )
+    def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
+        import skdlab.experiment
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a seed trained before the config was checked")
+
+        monkeypatch.setattr(skdlab.experiment, "run_single_seed", no_training)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(section)
+        code, _, err = run(capsys, "experiment", "-c", str(bad), "-o", str(tmp_path / "x"))
+        assert code == 2 and err.startswith("error: ")
 
     def test_bad_jobs_value(self, capsys, tiny_config, tmp_path):
         code, _, err = run(

@@ -38,6 +38,22 @@ class TestDefaults:
         assert cfg.teacher.hidden_layers == (64, 32) and cfg.teacher.epochs == 40
         assert cfg.student.hidden_layers == (8,) and cfg.student.epochs == 30
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"lam": 1.5},
+            {"lam": -0.1},
+            {"tau_skd": 0.0},
+            {"difficulty": (0.2, 0.8)},
+            {"samples_per_subclass": (10, 10)},
+            {"task": "SL99"},
+            {"train_fraction": 1.5},
+        ],
+    )
+    def test_bad_values_rejected_at_construction(self, override):
+        with pytest.raises(ValueError):
+            sl22_trend_config(**override)
+
     def test_config_round_trips_through_dict(self):
         d = tiny_config().to_dict()
         assert d["samples_per_subclass"] == [12, 12, 26, 26]

@@ -237,3 +237,21 @@ class TestLossSpecs:
     def test_distill_loss_matches_skd_loss(self):
         l, _ = DistillAgainstTeacher(self.teacher, 5.0).loss_and_logit_grad(self.logits)
         assert l == pytest.approx(skd_loss(self.teacher, self.logits, 5.0), abs=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.45, 0.0])  # lam 0 exposes the distill term's last bits
+    @pytest.mark.parametrize("tau", [5.0, 128.0])
+    def test_fused_combined_matches_composed_reference(self, tau, lam):
+        # the objective built over a larger set and sliced by rows() must give
+        # exactly what CE + distill + student_objective give on the batch alone
+        rng = np.random.default_rng(int(tau))
+        labels = rng.integers(0, 4, size=40)
+        teacher = rng.standard_normal((40, 4)) * 3
+        order = rng.permutation(40)
+        batch = slice(8, 14)
+        idx = order[batch]
+        ce_loss, ce_grad = CrossEntropyOnLabels(labels[idx]).loss_and_logit_grad(self.logits)
+        kd_loss, kd_grad = DistillAgainstTeacher(teacher[idx], tau).loss_and_logit_grad(self.logits)
+        fused = CombinedObjective(labels, teacher, tau, lam).rows(order).rows(batch)
+        loss, grad = fused.loss_and_logit_grad(self.logits)
+        assert loss == student_objective(ce_loss, kd_loss, lam)
+        assert np.array_equal(grad, lam * ce_grad + (1.0 - lam) * kd_grad)

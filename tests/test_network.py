@@ -161,7 +161,52 @@ class TestBackward:
             backward(net, np.zeros((0, 2)), CrossEntropyOnLabels(np.array([], dtype=int)))
 
 
+def loop_adam_step(weights, biases, grads, moments, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """Per-layer Adam loop: the reference the flat optimizer_step must match bit for bit."""
+    m_w, v_w, m_b, v_b = moments
+    for i in range(len(weights)):
+        m_w[i] = b1 * m_w[i] + (1 - b1) * grads.d_weights[i]
+        v_w[i] = b2 * v_w[i] + (1 - b2) * grads.d_weights[i] ** 2
+        m_hat = m_w[i] / (1 - b1 ** t)
+        v_hat = v_w[i] / (1 - b2 ** t)
+        weights[i] -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * weights[i]
+
+        m_b[i] = b1 * m_b[i] + (1 - b1) * grads.d_biases[i]
+        v_b[i] = b2 * v_b[i] + (1 - b2) * grads.d_biases[i] ** 2
+        m_hat = m_b[i] / (1 - b1 ** t)
+        v_hat = v_b[i] / (1 - b2 ** t)
+        biases[i] -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * biases[i]
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 class TestOptimizerStep:
+    @pytest.mark.parametrize("replace_weights", [False, True])
+    def test_matches_per_layer_loop(self, replace_weights):
+        rng = np.random.default_rng(21)
+        net = init_network([3, 7, 5, 4], seed=4)
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (ref_w, ref_w, ref_b, ref_b))
+        state = OptimizerState(learning_rate=0.01)
+        for step in range(1, 7):
+            if replace_weights and step == 3:
+                net.weights[0] = rng.standard_normal((3, 7))
+                ref_w[0] = net.weights[0].copy()
+            X = rng.standard_normal((9, 3))
+            _, grads = backward(net, X, CrossEntropyOnLabels(rng.integers(0, 4, size=9)))
+            lr = state.learning_rate
+            optimizer_step(net, grads, state)
+            loop_adam_step(ref_w, ref_b, grads, moments, step, lr, state.weight_decay)
+            state.end_epoch()
+            for got, want in zip(net.weights + net.biases, ref_w + ref_b):
+                assert np.array_equal(got, want)
+            m_w, v_w, m_b, v_b = moments
+            assert np.array_equal(state.m, flat(m_w + m_b))
+            assert np.array_equal(state.v, flat(v_w + v_b))
+
     def _one_param_net(self, w0):
         net = init_network([1, 1], seed=0)
         net.weights[0][...] = w0
@@ -206,7 +251,7 @@ class TestOptimizerStep:
             _, grads = backward(net, np.ones((1, 2)), CrossEntropyOnLabels(np.array([1])))
             optimizer_step(net, grads, state)
         assert state.step == 2
-        assert all(np.all(v > 0) for v in state.v_w)
+        assert np.all(state.v > 0)
 
     def test_epoch_boundary_decays_learning_rate(self):
         state = OptimizerState(learning_rate=1e-3, lr_decay=0.91)
