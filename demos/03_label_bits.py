@@ -20,7 +20,7 @@ from skdlab import (
     bac_optimal_input,
     blahut_arimoto,
     build_task_preset,
-    confusion_to_row_stochastic,
+    confusion_to_channel,
     detection_bits_bound,
     evaluate,
     generate_synthetic,
@@ -83,7 +83,7 @@ counts = tuple(
 row = label_bits_report(metrics.class_confusion, sub_confs, sl22, counts, task="SL22")
 print(f"\nteacher as a channel (test split):")
 print("class confusion, row-normalized:")
-print(np.round(confusion_to_row_stochastic(metrics.class_confusion), 3))
+print(np.round(confusion_to_channel(metrics.class_confusion).transition, 3))
 shown = {k: [round(x, 4) for x in v] if isinstance(v, list) else round(v, 4)
          for k, v in row.fitted.items()}
 print(f"fitted parameters: {shown}")

@@ -78,12 +78,9 @@ from .network import (
 )
 from .training import (
     Metrics,
-    RunSummary,
     TrainConfig,
     TrainResult,
-    confusion_to_row_stochastic,
     evaluate,
-    multi_run,
     per_class_subclass_confusions,
     student_train_config,
     teacher_train_config,

@@ -5,9 +5,10 @@ bad config values, missing input files, mismatched checkpoints), 1 for
 runtime failures (divergence, non-convergence, write errors).
 
 Configs are INI files with one section per role; every key has a desk-scale
-default, so an empty file is a valid config.  The raw config text is echoed
-into each report for provenance.  All randomness flows from the single
-``seed`` key in ``[data]``.
+default, so an empty file is a valid config.  A section or key not listed
+below is rejected with exit code 2 instead of being ignored.  The raw config
+text is echoed into each report for provenance.  All randomness flows from
+the single ``seed`` key in ``[data]``.
 
     [data]
     task = SL22                        ; ClassLevel | SL21 | SL22 | SL12
@@ -45,8 +46,9 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -64,10 +66,10 @@ from .capacity import (
     z_channel_capacity,
 )
 from .data import generate_synthetic, load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
-from .experiment import ExperimentConfig, run_experiment, write_experiment_report
+from .experiment import ExperimentConfig, config_fields, run_experiment, write_experiment_report
 from .losses import STUDENT_MODES
 from .network import load_checkpoint, save_checkpoint
-from .training import TrainConfig, evaluate, train_student, train_teacher
+from .training import evaluate, train_student, train_teacher
 
 
 class ConfigError(Exception):
@@ -91,54 +93,59 @@ def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
     return parser, text
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+# The INI section of each ExperimentConfig field.  A key is named after its
+# field, except that [data] seed sets base_seed; a TrainConfig field's section
+# has one key per TrainConfig field that config_fields reports.
+_SECTION = {
+    "task": "data", "samples_per_subclass": "data", "difficulty": "data",
+    "feature_dim": "data", "train_fraction": "data", "base_seed": "data",
+    "n_seeds": "experiment", "teacher": "teacher", "student": "student",
+    "tau_skd": "distill", "tau_kd": "distill", "lam": "distill",
+}
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+def _ini_schema(base: ExperimentConfig) -> dict[str, tuple[Optional[str], dict[str, str]]]:
+    """section -> (the TrainConfig field it sets, or None for base's own; key -> field)."""
+    schema: dict = {}
+    for f in config_fields(base):
+        value = getattr(base, f.name)
+        if is_dataclass(value):
+            schema[_SECTION[f.name]] = (f.name, {g.name: g.name for g in config_fields(value)})
+        else:
+            key = "seed" if f.name == "base_seed" else f.name
+            schema.setdefault(_SECTION[f.name], (None, {}))[1][key] = f.name
+    return schema
 
 
-def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _train_config(parser, section: str, defaults: TrainConfig) -> TrainConfig:
-    return replace(
-        defaults,
-        hidden_layers=_get(parser, section, "hidden_layers", _int_tuple, defaults.hidden_layers),
-        epochs=_get(parser, section, "epochs", int, defaults.epochs),
-        batch_size=_get(parser, section, "batch_size", int, defaults.batch_size),
-        learning_rate=_get(parser, section, "learning_rate", float, defaults.learning_rate),
-        weight_decay=_get(parser, section, "weight_decay", float, defaults.weight_decay),
-        lr_decay=_get(parser, section, "lr_decay", float, defaults.lr_decay),
-    )
+def _cast(raw: str, default):
+    """raw as the type of default; a tuple as comma- or space-separated items of its items' type."""
+    if isinstance(default, tuple):
+        return tuple(_cast(tok, default[0]) for tok in raw.replace(",", " ").split())
+    return type(default)(raw)
 
 
 def _experiment_config(parser) -> ExperimentConfig:
+    """The default config with every key in parser set; an unknown section or key is an error."""
     base = ExperimentConfig()
-    return ExperimentConfig(
-        task=_get(parser, "data", "task", str, base.task),
-        samples_per_subclass=_get(
-            parser, "data", "samples_per_subclass", _int_tuple, base.samples_per_subclass
-        ),
-        difficulty=_get(parser, "data", "difficulty", _float_tuple, base.difficulty),
-        feature_dim=_get(parser, "data", "feature_dim", int, base.feature_dim),
-        train_fraction=_get(parser, "data", "train_fraction", float, base.train_fraction),
-        base_seed=_get(parser, "data", "seed", int, base.base_seed),
-        n_seeds=_get(parser, "experiment", "n_seeds", int, base.n_seeds),
-        teacher=_train_config(parser, "teacher", base.teacher),
-        student=_train_config(parser, "student", base.student),
-        tau_skd=_get(parser, "distill", "tau_skd", float, base.tau_skd),
-        tau_kd=_get(parser, "distill", "tau_kd", float, base.tau_kd),
-        lam=_get(parser, "distill", "lam", float, base.lam),
-    )
+    schema = _ini_schema(base)
+    if parser.defaults():
+        raise ConfigError("[DEFAULT]: unknown section")
+    changes = {}
+    for section in parser.sections():
+        if section not in schema:
+            raise ConfigError(f"[{section}]: unknown section (known: {', '.join(schema)})")
+        nested, keys = schema[section]
+        owner = getattr(base, nested) if nested else base
+        values = {}
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"[{section}] {key}: unknown key (known: {', '.join(keys)})")
+            try:
+                values[keys[key]] = _cast(raw, getattr(owner, keys[key]))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        changes.update({nested: replace(owner, **values)} if nested else values)
+    return replace(base, **changes)
 
 
 def _read_matrix(path) -> np.ndarray:

@@ -12,7 +12,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -20,14 +20,10 @@ from .data import SyntheticSpec, generate_synthetic, split_dataset
 from .hierarchy import LabelHierarchy, build_task_preset
 from .losses import DistillConfig
 from .training import (
-    DEFAULT_LAM,
-    TAU_KD,
-    TAU_SKD,
     Metrics,
     TrainConfig,
     evaluate,
     student_train_config,
-    teacher_train_config,
     train_student,
     train_teacher,
 )
@@ -43,6 +39,14 @@ VARIANTS = (
 )
 
 
+def config_fields(cfg) -> list:
+    """The fields of a config dataclass that an INI file sets and report.json records.
+
+    A TrainConfig's seed and distill are left out: they are set per seed and variant.
+    """
+    return [f for f in fields(cfg) if f.name not in ("seed", "distill")]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str = "SL22"
@@ -52,11 +56,11 @@ class ExperimentConfig:
     train_fraction: float = 0.5
     base_seed: int = 1000
     n_seeds: int = 30
-    teacher: TrainConfig = teacher_train_config()
+    teacher: TrainConfig = TrainConfig()
     student: TrainConfig = student_train_config()
-    tau_skd: float = TAU_SKD
-    tau_kd: float = TAU_KD
-    lam: float = DEFAULT_LAM
+    tau_skd: float = 5.0
+    tau_kd: float = 128.0
+    lam: float = DistillConfig.lam
 
     def __post_init__(self):
         # reject a bad task, count, difficulty, split, tau or lam before any seed trains
@@ -75,34 +79,18 @@ class ExperimentConfig:
         )
 
     def distill_config(self, mode: str) -> DistillConfig:
-        tau = {"kd": self.tau_kd, "skd": self.tau_skd}.get(mode, 1.0)
+        tau = {"kd": self.tau_kd, "skd": self.tau_skd}.get(mode, DistillConfig.tau)
         return DistillConfig(mode=mode, tau=tau, lam=self.lam)
 
     def to_dict(self) -> dict:
-        def train_dict(cfg: TrainConfig) -> dict:
-            return {
-                "hidden_layers": list(cfg.hidden_layers),
-                "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "learning_rate": cfg.learning_rate,
-                "weight_decay": cfg.weight_decay,
-                "lr_decay": cfg.lr_decay,
-            }
+        """The report's config block: every config field, tuples as lists."""
 
-        return {
-            "task": self.task,
-            "samples_per_subclass": list(self.samples_per_subclass),
-            "difficulty": list(self.difficulty),
-            "feature_dim": self.feature_dim,
-            "train_fraction": self.train_fraction,
-            "base_seed": self.base_seed,
-            "n_seeds": self.n_seeds,
-            "teacher": train_dict(self.teacher),
-            "student": train_dict(self.student),
-            "tau_skd": self.tau_skd,
-            "tau_kd": self.tau_kd,
-            "lam": self.lam,
-        }
+        def plain(value):
+            if is_dataclass(value):
+                return {f.name: plain(getattr(value, f.name)) for f in config_fields(value)}
+            return list(value) if isinstance(value, tuple) else value
+
+        return plain(self)
 
 
 def sl22_trend_config(**overrides) -> ExperimentConfig:
@@ -150,7 +138,7 @@ def _seed_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, dict, Optiona
     start = time.perf_counter()
     try:
         metrics = run_single_seed(cfg, seed)
-    except Exception as exc:  # recorded per seed; surviving seeds still summarize
+    except FloatingPointError as exc:  # divergence is recorded per seed; survivors still summarize
         return seed, {}, f"{type(exc).__name__}: {exc}", time.perf_counter() - start
     elapsed = time.perf_counter() - start
     return seed, {name: m.to_dict() for name, m in metrics.items()}, None, elapsed

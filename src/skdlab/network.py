@@ -125,11 +125,6 @@ def log_softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
     return softmax_and_log_softmax(logits, tau)[1]
 
 
-def argmax_lowest_tie(values) -> np.ndarray:
-    """Row argmax, ties broken toward the lowest index (np.argmax already does)."""
-    return np.argmax(np.asarray(values), axis=-1)
-
-
 def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet]:
     """Batch-mean loss and its exact analytic gradients.
 

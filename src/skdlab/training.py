@@ -1,4 +1,4 @@
-"""Training regimes, class-level evaluation, and multi-seed statistics.
+"""Training regimes and class-level evaluation.
 
 Four student regimes are supported through DistillConfig.mode:
 
@@ -14,8 +14,8 @@ summing each class's subclass probabilities before the argmax.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -37,28 +37,20 @@ from .network import (
     softmax_temperature,
 )
 
-# Desk-scale defaults: a 64-32 teacher distilled into an 8-unit student.
-TEACHER_HIDDEN = (64, 32)
-STUDENT_HIDDEN = (8,)
-TEACHER_EPOCHS = 40
-STUDENT_EPOCHS = 30
-DEFAULT_BATCH = 32
-DEFAULT_LR = 1e-3
-DEFAULT_WEIGHT_DECAY = 5e-4
-DEFAULT_LR_DECAY = 0.91
-TAU_SKD = 5.0
-TAU_KD = 128.0
-DEFAULT_LAM = 0.45
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden_layers: tuple[int, ...] = TEACHER_HIDDEN
-    epochs: int = TEACHER_EPOCHS
-    batch_size: int = DEFAULT_BATCH
-    learning_rate: float = DEFAULT_LR
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
-    lr_decay: float = DEFAULT_LR_DECAY
+    """One network's training settings.
+
+    The defaults train the desk-scale 64-32 teacher (student_train_config
+    gives the 8-unit student) with OptimizerState's optimizer defaults.
+    """
+
+    hidden_layers: tuple[int, ...] = (64, 32)
+    epochs: int = 40
+    batch_size: int = 32
+    learning_rate: float = OptimizerState.learning_rate
+    weight_decay: float = OptimizerState.weight_decay
+    lr_decay: float = OptimizerState.lr_decay
     seed: int = 0
     distill: Optional[DistillConfig] = None
 
@@ -68,15 +60,16 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        if any(h < 1 for h in self.hidden_layers):
+            raise ValueError("hidden_layers widths must be at least 1")
 
 
-def teacher_train_config(seed: int = 0, **overrides) -> TrainConfig:
-    return replace(TrainConfig(seed=seed), **overrides)
+def teacher_train_config(**overrides) -> TrainConfig:
+    return TrainConfig(**overrides)
 
 
-def student_train_config(seed: int = 0, **overrides) -> TrainConfig:
-    base = TrainConfig(hidden_layers=STUDENT_HIDDEN, epochs=STUDENT_EPOCHS, seed=seed)
-    return replace(base, **overrides)
+def student_train_config(**overrides) -> TrainConfig:
+    return replace(TrainConfig(hidden_layers=(8,), epochs=30), **overrides)
 
 
 @dataclass
@@ -295,49 +288,3 @@ def per_class_subclass_confusions(
         pred_within = np.argmax(probs[mask][:, block], axis=1)
         out.append(_confusion(true_within, pred_within, n_c))
     return out
-
-
-def confusion_to_row_stochastic(counts_matrix) -> np.ndarray:
-    """Divide each confusion row by its sum; rejects empty rows."""
-    c = np.asarray(counts_matrix, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("confusion matrix must be 2-D")
-    rows = c.sum(axis=1, keepdims=True)
-    if np.any(rows == 0):
-        raise ValueError("every true label needs at least one sample")
-    return c / rows
-
-
-# ---------------------------------------------------------------------------
-# Multi-seed statistics.
-
-
-@dataclass
-class RunSummary:
-    seeds: list[int]
-    values: list[float]
-    mean: float
-    std: float
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-
-def multi_run(run_fn: Callable[[int], float], n_seeds: int, base_seed: int) -> RunSummary:
-    """Run run_fn at seeds base_seed + k for k < n_seeds and summarize.
-
-    Reports the sample standard deviation (ddof=1); any failure is re-raised
-    with the offending seed attached.
-    """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2")
-    seeds = [base_seed + k for k in range(n_seeds)]
-    values = []
-    for s in seeds:
-        try:
-            values.append(float(run_fn(s)))
-        except Exception as exc:
-            raise RuntimeError(f"run for seed {s} failed: {exc}") from exc
-    arr = np.array(values)
-    return RunSummary(seeds, values, float(arr.mean()), float(arr.std(ddof=1)))

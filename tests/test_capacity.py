@@ -341,6 +341,10 @@ class TestEstimateAccuracy:
         assert p == pytest.approx(0.25, abs=1e-15)
         assert qsc_capacity(4, p) == pytest.approx(0.0, abs=1e-12)
 
+    def test_channel_is_the_row_normalized_confusion(self):
+        got = confusion_to_channel([[9, 1], [2, 8]]).transition
+        np.testing.assert_allclose(got, [[0.9, 0.1], [0.2, 0.8]], atol=1e-15)
+
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             estimate_accuracy([[1, 0], [0, 0]])

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from skdlab.capacity import bac_capacity, qsc_capacity
-from skdlab.cli import main
+from skdlab.cli import _experiment_config, _ini_schema, _load_ini, main
+from skdlab.experiment import ExperimentConfig
 
 TINY_INI = """\
 [data]
@@ -175,6 +177,17 @@ class TestGenerateCommand:
         bad.write_text("[teacher]\nepochs = pony\n")
         code, _, err = run(capsys, "generate", "-c", str(bad), "-o", str(tmp_path / "x"))
         assert code == 2 and "[teacher] epochs" in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("[techer]\n", "[techer]: unknown section"),
+         ("[teacher]\nepoch = 4\n", "[teacher] epoch: unknown key")],
+    )
+    def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        code, _, err = run(capsys, "generate", "-c", str(bad), "-o", str(tmp_path / "x"))
+        assert code == 2 and named in err
 
     def test_count_arity_checked(self, capsys, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -363,7 +376,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "section", ["[distill]\nlam = 1.5\n", "[distill]\ntau_kd = 0\n",
-                    "[data]\ndifficulty = 0.2,0.8\n", "[data]\ntrain_fraction = 1.5\n"],
+                    "[data]\ndifficulty = 0.2,0.8\n", "[data]\ntrain_fraction = 1.5\n",
+                    "[teacher]\nhidden_layers = 0\n", "[teacher]\nepoch = 4\n",
+                    "[techer]\nepochs = 1\n", "[DEFAULT]\nepochs = 4\n"],
     )
     def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
         import skdlab.experiment
@@ -377,9 +392,69 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", "-c", str(bad), "-o", str(tmp_path / "x"))
         assert code == 2 and err.startswith("error: ")
 
+    def test_unsplittable_subclass_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[data]\nsamples_per_subclass = 1,12,26,26\n")
+        code, _, err = run(capsys, "experiment", "-c", str(bad), "-o", str(tmp_path / "x"))
+        assert code == 2 and "cannot split" in err
+
     def test_bad_jobs_value(self, capsys, tiny_config, tmp_path):
         code, _, err = run(
             capsys, "experiment", "-c", str(tiny_config), "-o", str(tmp_path / "x"),
             "--jobs", "0",
         )
         assert code == 2 and "--jobs" in err
+
+
+TRAIN_KEYS = [
+    ("hidden_layers", "5,3", (5, 3)),
+    ("epochs", "4", 4),
+    ("batch_size", "16", 16),
+    ("learning_rate", "0.01", 0.01),
+    ("weight_decay", "0", 0.0),
+    ("lr_decay", "0.5", 0.5),
+]
+
+# (section, INI lines, the config fields they set); a dict value holds TrainConfig fields.
+# The first key of each entry is the one it covers: a task needs counts and difficulties to match.
+KEY_SETTINGS = [
+    ("data", "task = SL12\nsamples_per_subclass = 9,20,20\ndifficulty = 0.2,0.2,0.8",
+     {"task": "SL12", "samples_per_subclass": (9, 20, 20), "difficulty": (0.2, 0.2, 0.8)}),
+    ("data", "samples_per_subclass = 9 9 20 20", {"samples_per_subclass": (9, 9, 20, 20)}),
+    ("data", "difficulty = 0.1,0.9,0.3,0.7", {"difficulty": (0.1, 0.9, 0.3, 0.7)}),
+    ("data", "feature_dim = 3", {"feature_dim": 3}),
+    ("data", "train_fraction = 0.25", {"train_fraction": 0.25}),
+    ("data", "seed = 7", {"base_seed": 7}),
+    ("experiment", "n_seeds = 4", {"n_seeds": 4}),
+    *[(role, f"{key} = {raw}", {role: {key: value}})
+      for role in ("teacher", "student") for key, raw, value in TRAIN_KEYS],
+    ("distill", "tau_skd = 2.5", {"tau_skd": 2.5}),
+    ("distill", "tau_kd = 64", {"tau_kd": 64.0}),
+    ("distill", "lam = 0.3", {"lam": 0.3}),
+]
+
+
+def covered_key(section, lines):
+    return section, lines.split(" =")[0]
+
+
+class TestConfigKeys:
+    def test_accepted_keys_are_exactly_the_covered_ones(self):
+        accepted = {(s, k) for s, (_, keys) in _ini_schema(ExperimentConfig()).items() for k in keys}
+        assert accepted == {covered_key(section, lines) for section, lines, _ in KEY_SETTINGS}
+        assert len(accepted) == 22
+
+    @pytest.mark.parametrize(
+        "section, lines, changes", KEY_SETTINGS,
+        ids=["{}.{}".format(*covered_key(s, l)) for s, l, _ in KEY_SETTINGS],
+    )
+    def test_each_key_sets_its_field(self, tmp_path, section, lines, changes):
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[{section}]\n{lines}\n")
+        base = ExperimentConfig()
+        expected = replace(base, **{
+            name: replace(getattr(base, name), **value) if isinstance(value, dict) else value
+            for name, value in changes.items()
+        })
+        assert expected != base
+        assert _experiment_config(_load_ini(ini)[0]) == expected

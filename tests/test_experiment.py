@@ -110,22 +110,34 @@ class TestRunExperiment:
 
         def flaky(cfg, seed):
             if seed == 6:
-                raise ValueError("synthetic failure")
+                raise FloatingPointError("synthetic failure")
             return real(cfg, seed)
 
         monkeypatch.setattr(exp, "run_single_seed", flaky)
         report, _ = run_experiment(tiny_config())
         assert [e["seed"] for e in report["per_seed"]] == [5, 7]
-        assert report["failures"] == [{"seed": 6, "error": "ValueError: synthetic failure"}]
+        assert report["failures"] == [{"seed": 6, "error": "FloatingPointError: synthetic failure"}]
         # summary covers the two surviving seeds
         assert len(report["summary"]["student_skd"]["binary_f1"]["values"]) == 2
 
     def test_too_many_failures_raise(self, monkeypatch):
         def broken(cfg, seed):
-            raise ValueError("no data")
+            raise FloatingPointError("no data")
 
         monkeypatch.setattr(exp, "run_single_seed", broken)
         with pytest.raises(RuntimeError, match="fewer than two seeds"):
+            run_experiment(tiny_config())
+
+    def test_non_numerical_errors_propagate(self, monkeypatch):
+        real = run_single_seed
+
+        def buggy(cfg, seed):
+            if seed == 6:
+                raise ValueError("not a divergence")
+            return real(cfg, seed)
+
+        monkeypatch.setattr(exp, "run_single_seed", buggy)
+        with pytest.raises(ValueError, match="not a divergence"):
             run_experiment(tiny_config())
 
     def test_validation(self):

@@ -11,7 +11,6 @@ from skdlab.losses import (
 from skdlab.network import (
     CHECKPOINT_FORMAT,
     OptimizerState,
-    argmax_lowest_tie,
     backward,
     forward,
     init_network,
@@ -109,12 +108,6 @@ class TestSoftmax:
             np.exp(log_softmax_temperature(z, 5.0)),
             softmax_temperature(z, 5.0),
             rtol=1e-13,
-        )
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert argmax_lowest_tie(np.array([1.0, 3.0, 3.0])) == 1
-        np.testing.assert_array_equal(
-            argmax_lowest_tie(np.array([[2.0, 2.0], [0.0, 1.0]])), [0, 1]
         )
 
 

@@ -8,9 +8,7 @@ from skdlab.network import backward, forward, init_network
 from skdlab.training import (
     Metrics,
     TrainConfig,
-    confusion_to_row_stochastic,
     evaluate,
-    multi_run,
     per_class_subclass_confusions,
     student_train_config,
     teacher_train_config,
@@ -315,42 +313,3 @@ class TestSubclassConfusions:
         ds = Dataset(np.zeros((1, 2)), [0], [0], SL22)
         with pytest.raises(ValueError):
             per_class_subclass_confusions(logit_injector(2), ds, SL22)
-
-
-class TestConfusionNormalization:
-    def test_row_stochastic(self):
-        got = confusion_to_row_stochastic([[9, 1], [2, 8]])
-        np.testing.assert_allclose(got, [[0.9, 0.1], [0.2, 0.8]], atol=1e-15)
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            confusion_to_row_stochastic([[1, 0], [0, 0]])
-        with pytest.raises(ValueError):
-            confusion_to_row_stochastic([1, 2, 3])
-
-
-class TestMultiRun:
-    def test_hand_computed_summary(self):
-        summary = multi_run(lambda s: float(s % 3), n_seeds=5, base_seed=100)
-        assert summary.seeds == [100, 101, 102, 103, 104]
-        assert summary.values == [1.0, 2.0, 0.0, 1.0, 2.0]
-        assert summary.mean == pytest.approx(1.2, abs=1e-15)
-        assert summary.std == pytest.approx(np.sqrt(0.7), abs=1e-15)  # ddof=1
-        assert summary.count == 5
-
-    def test_degenerate_spread_is_zero(self):
-        summary = multi_run(lambda s: 0.5, n_seeds=4, base_seed=0)
-        assert summary.std == 0.0
-
-    def test_failure_names_the_seed(self):
-        def flaky(s):
-            if s == 102:
-                raise ValueError("boom")
-            return 0.0
-
-        with pytest.raises(RuntimeError, match="seed 102"):
-            multi_run(flaky, n_seeds=5, base_seed=100)
-
-    def test_needs_at_least_two_seeds(self):
-        with pytest.raises(ValueError):
-            multi_run(lambda s: 0.0, n_seeds=1, base_seed=0)
