@@ -20,7 +20,6 @@ from .capacity import (
     blahut_arimoto,
     confusion_to_channel,
     detection_bits_bound,
-    entropy_bits,
     estimate_accuracy,
     hierarchy_bits_bound,
     label_bits_report,

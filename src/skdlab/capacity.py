@@ -60,13 +60,6 @@ def binary_entropy(x: float) -> float:
     return float(h)
 
 
-def entropy_bits(dist) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    p = np.asarray(dist, dtype=float)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log2(p[mask])))
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """Discrete memoryless channel: rows = true labels, columns = predictions."""
@@ -77,7 +70,7 @@ class ChannelSpec:
         t = np.asarray(self.transition, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise ValueError("transition must be a 2-D matrix")
-        if np.any(t < -1e-15) or np.any(t > 1.0 + 1e-15):
+        if not np.all((t >= -1e-15) & (t <= 1.0 + 1e-15)):  # rejects NaN too
             raise ValueError("transition entries must lie in [0, 1]")
         rows = t.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
@@ -88,10 +81,6 @@ class ChannelSpec:
     @property
     def input_size(self) -> int:
         return self.transition.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.transition.shape[1]
 
 
 def qsc_channel(n: int, p: float) -> ChannelSpec:

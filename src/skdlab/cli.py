@@ -8,7 +8,8 @@ Configs are INI files with one section per role; every key has a desk-scale
 default, so an empty file is a valid config.  A section or key not listed
 below is rejected with exit code 2 instead of being ignored.  The raw config
 text is echoed into each report for provenance.  All randomness flows from
-the single ``seed`` key in ``[data]``.
+the single ``seed`` key in ``[data]``.  Values are read literally: a ``%``
+is an ordinary character, not an interpolation.
 
     [data]
     task = SL22                        ; ClassLevel | SL21 | SL22 | SL12
@@ -72,8 +73,8 @@ from .network import load_checkpoint, save_checkpoint
 from .training import evaluate, train_student, train_teacher
 
 
-class ConfigError(Exception):
-    """Bad flags, config values, or input files; maps to exit code 2."""
+class ConfigError(ValueError):
+    """Bad flags, config values, or input files; maps to exit code 2 like any ValueError."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
     if not p.is_file():
         raise ConfigError(f"config not found: {p}")
     text = p.read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -158,9 +159,12 @@ def _read_matrix(path) -> np.ndarray:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ConfigError(f"{p}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{p}:{lineno}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise ConfigError(f"{p}: no rows")
     widths = {len(r) for r in rows}
@@ -467,11 +471,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
-        # bad input values or paths discovered inside the library layer
+        # ConfigError, or bad input values or paths discovered inside the library layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

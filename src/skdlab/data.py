@@ -47,10 +47,8 @@ def separation(difficulty):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one synthetic dataset.
+    """Recipe for one synthetic dataset, its centers in the tiered auto layout.
 
-    cluster_centers may be the string "auto" (tiered layout, two-class
-    hierarchies only) or an explicit (total_subclasses, feature_dim) array.
     difficulty may be a scalar applied to every subclass or a per-subclass
     sequence.
     """
@@ -60,7 +58,6 @@ class SyntheticSpec:
     difficulty: tuple[float, ...]
     feature_dim: int
     seed: int
-    cluster_centers: object = "auto"
 
     def __post_init__(self):
         S = self.hierarchy.total_subclasses
@@ -86,22 +83,10 @@ class SyntheticSpec:
         object.__setattr__(self, "difficulty", diff)
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
-        if not (isinstance(self.cluster_centers, str) and self.cluster_centers == "auto"):
-            centers = np.asarray(self.cluster_centers, dtype=float)
-            if centers.shape != (S, self.feature_dim):
-                raise ValueError(
-                    f"explicit centers must have shape ({S}, {self.feature_dim}), got {centers.shape}"
-                )
-            object.__setattr__(self, "cluster_centers", centers)
-
-    def resolved_centers(self) -> np.ndarray:
-        if isinstance(self.cluster_centers, str):
-            return auto_centers(self.hierarchy, self.difficulty, self.feature_dim)
-        return np.array(self.cluster_centers, dtype=float)
 
 
 def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.ndarray:
-    """Tiered center layout for a two-class hierarchy.
+    """Tiered center layout for a two-class hierarchy, one difficulty per subclass.
 
     Tier k pairs the k-th subclass of each class.  Paired centers sit at
     +-s/2 on axis 0 with the class-0 side flipping each tier, lifted by
@@ -109,17 +94,14 @@ def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.
     at -s/2.
     """
     if hierarchy.num_classes != 2:
-        raise ValueError("auto centers support exactly two classes; pass explicit centers")
+        raise ValueError("auto centers support exactly two classes")
     spc = hierarchy.subclasses_per_class
-    diff = np.asarray(difficulty, dtype=float)
-    if diff.ndim == 0:
-        diff = np.full(hierarchy.total_subclasses, float(diff))
     n_tiers = max(spc)
     needs_second_axis = n_tiers > 1 or spc[0] != spc[1]
     if needs_second_axis and feature_dim < 2:
         raise ValueError("this hierarchy needs feature_dim >= 2 for auto centers")
     centers = np.zeros((hierarchy.total_subclasses, feature_dim))
-    sep = separation(diff)
+    sep = separation(difficulty)
     for k in range(n_tiers):
         members = [c for c in range(2) if k < spc[c]]
         for c in members:
@@ -174,9 +156,6 @@ class Dataset:
     def subclass_counts(self) -> np.ndarray:
         return np.bincount(self.subclass_labels, minlength=self.hierarchy.total_subclasses)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.class_labels, minlength=self.hierarchy.num_classes)
-
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw the dataset described by a SyntheticSpec.
@@ -185,7 +164,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     independent PRNG stream keyed by (seed, j), so results do not depend on
     generation order or on the counts of other subclasses.
     """
-    centers = spec.resolved_centers()
+    centers = auto_centers(spec.hierarchy, spec.difficulty, spec.feature_dim)
     feats, subs = [], []
     for j, n in enumerate(spec.samples_per_subclass):
         if n == 0:

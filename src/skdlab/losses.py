@@ -44,8 +44,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.mode not in STUDENT_MODES:
             raise ValueError(f"mode must be one of {STUDENT_MODES}, got {self.mode!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
 

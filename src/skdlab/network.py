@@ -6,8 +6,9 @@ leans on are unreliable in 32-bit.  No framework autodiff anywhere; the
 backward pass is the chain rule written out.
 
 A network's parameters live in one flat float64 vector (all weights, then
-all biases) that ``weights`` and ``biases`` view; the optimizer's moments
-are two vectors of the same layout, so an Adam step is one vectorised update.
+all biases) that the ``weights`` and ``biases`` tuples view, so a layer can
+be written in place but not replaced; the optimizer's moments are two
+vectors of the same layout, so an Adam step is one vectorised update.
 """
 from __future__ import annotations
 
@@ -21,14 +22,18 @@ import numpy as np
 
 CHECKPOINT_FORMAT = "skdlab-net-v1"
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class DenseNetwork:
     """Layer sizes plus parameters; the given arrays are copied into one flat vector."""
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -39,7 +44,7 @@ class DenseNetwork:
             raise ValueError("parameter arrays do not match layer_dims")
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
         pieces = np.split(self.params, np.cumsum([math.prod(s) for s in shapes])[:-1])
-        views = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+        views = tuple(piece.reshape(shape) for piece, shape in zip(pieces, shapes))
         self.weights, self.biases = views[: len(dims) - 1], views[len(dims) - 1 :]
 
     @property
@@ -52,15 +57,6 @@ class DenseNetwork:
 
     def parameter_count(self) -> int:
         return self.params.size
-
-    def flat_parameters(self) -> np.ndarray:
-        """The vector behind weights and biases, after copying in any array replaced since."""
-        if any(a.base is not self.params for a in self.weights + self.biases):
-            self.__post_init__()
-        return self.params
-
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(self.layer_dims, self.weights, self.biases)
 
 
 @dataclass
@@ -89,11 +85,10 @@ def init_network(layer_dims, seed) -> DenseNetwork:
 
 
 def forward(net: DenseNetwork, features) -> np.ndarray:
-    """Logits for a batch (n, d) or a single vector (d,)."""
+    """Logits for a batch (n, d)."""
     x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"features must be a 2-D batch, got {x.ndim} dimension(s)")
     if x.shape[1] != net.num_inputs:
         raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.num_inputs}")
     if not np.all(np.isfinite(x)):
@@ -101,8 +96,7 @@ def forward(net: DenseNetwork, features) -> np.ndarray:
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
-    logits = a @ net.weights[-1] + net.biases[-1]
-    return logits[0] if single else logits
+    return a @ net.weights[-1] + net.biases[-1]
 
 
 def softmax_and_log_softmax(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -163,18 +157,15 @@ def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet
 class OptimizerState:
     """Adaptive-moment optimizer with bias correction and decoupled weight decay.
 
-    The moments m and v are flat vectors in the layout of
-    DenseNetwork.params, allocated at the first step.  The learning rate is
-    multiplied by lr_decay at each epoch boundary (call end_epoch once per
-    epoch).
+    The moments m and v (decay rates BETA1, BETA2) are flat vectors in the
+    layout of DenseNetwork.params, allocated at the first step.  The learning
+    rate is multiplied by lr_decay at each epoch boundary (call end_epoch
+    once per epoch).
     """
 
     learning_rate: float = 1e-3
     lr_decay: float = 0.91
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
@@ -188,19 +179,18 @@ def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState)
     g = np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient")
-    params = net.flat_parameters()
+    params = net.params
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    lr, wd, eps = state.learning_rate, state.weight_decay, state.eps
-    state.m = b1 * state.m + (1 - b1) * g
-    state.v = b2 * state.v + (1 - b2) * g ** 2
-    m_hat = state.m / (1 - b1 ** t)
-    v_hat = state.v / (1 - b2 ** t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps) + lr * wd * params
+    lr, wd = state.learning_rate, state.weight_decay
+    state.m = BETA1 * state.m + (1 - BETA1) * g
+    state.v = BETA2 * state.v + (1 - BETA2) * g ** 2
+    m_hat = state.m / (1 - BETA1 ** t)
+    v_hat = state.v / (1 - BETA2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + EPS) + lr * wd * params
 
 
 # ---------------------------------------------------------------------------

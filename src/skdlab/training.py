@@ -62,6 +62,12 @@ class TrainConfig:
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers widths must be at least 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (np.isfinite(self.lr_decay) and self.lr_decay > 0):
+            raise ValueError("lr_decay must be finite and positive")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and non-negative")
 
 
 def teacher_train_config(**overrides) -> TrainConfig:
@@ -76,10 +82,6 @@ def student_train_config(**overrides) -> TrainConfig:
 class TrainResult:
     network: DenseNetwork
     loss_per_epoch: list[float]
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_per_epoch[-1]
 
 
 def _check_hierarchy(ds: Dataset, hierarchy: LabelHierarchy) -> None:

@@ -78,6 +78,13 @@ class TestCapacityCommand:
         code, _, err = run(capsys, "capacity", "--matrix", str(m))
         assert code == 2 and "ragged" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_matrix_cell(self, capsys, tmp_path, cell):
+        m = tmp_path / "bad.csv"
+        m.write_text(f"1.0,0.0\n{cell},0.5\n")
+        code, out, err = run(capsys, "capacity", "--matrix", str(m))
+        assert code == 2 and out == "" and "bad.csv:2: non-finite" in err
+
     def test_channel_selection_is_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["capacity"])
@@ -144,6 +151,16 @@ class TestBitsCommand:
             capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
         )
         assert code == 2 and "1 --subclass-confusion" in err
+
+    def test_confusion_route_rejects_non_finite_cell(self, capsys, tmp_path):
+        hier = tmp_path / "hierarchy.json"
+        hier.write_text(json.dumps({"subclasses_per_class": [1, 1]}))
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,inf\n20,80\n")
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
+        )
+        assert code == 2 and "class.csv:1: non-finite" in err
 
 
 class TestGenerateCommand:
@@ -378,7 +395,9 @@ class TestExperimentCommand:
         "section", ["[distill]\nlam = 1.5\n", "[distill]\ntau_kd = 0\n",
                     "[data]\ndifficulty = 0.2,0.8\n", "[data]\ntrain_fraction = 1.5\n",
                     "[teacher]\nhidden_layers = 0\n", "[teacher]\nepoch = 4\n",
-                    "[techer]\nepochs = 1\n", "[DEFAULT]\nepochs = 4\n"],
+                    "[techer]\nepochs = 1\n", "[DEFAULT]\nepochs = 4\n",
+                    "[distill]\ntau_kd = nan\n", "[teacher]\nlearning_rate = nan\n",
+                    "[teacher]\nlearning_rate = -0.5\n", "[data]\ntask = SL%22\n"],
     )
     def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
         import skdlab.experiment

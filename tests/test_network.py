@@ -10,6 +10,7 @@ from skdlab.losses import (
 )
 from skdlab.network import (
     CHECKPOINT_FORMAT,
+    EPS,
     OptimizerState,
     backward,
     forward,
@@ -55,7 +56,9 @@ class TestForward:
         batch = forward(net, X)
         for i in range(5):
             # single-row and batched BLAS paths may differ in the last ulp
-            np.testing.assert_allclose(forward(net, X[i]), batch[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(forward(net, X[i : i + 1])[0], batch[i], rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="2-D"):
+            forward(net, X[0])
 
     def test_permutation_equivariant(self):
         net = init_network([3, 6, 4], seed=2)
@@ -176,8 +179,8 @@ def flat(arrays):
 
 
 class TestOptimizerStep:
-    @pytest.mark.parametrize("replace_weights", [False, True])
-    def test_matches_per_layer_loop(self, replace_weights):
+    @pytest.mark.parametrize("overwrite_weights", [False, True])
+    def test_matches_per_layer_loop(self, overwrite_weights):
         rng = np.random.default_rng(21)
         net = init_network([3, 7, 5, 4], seed=4)
         ref_w = [w.copy() for w in net.weights]
@@ -185,8 +188,8 @@ class TestOptimizerStep:
         moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (ref_w, ref_w, ref_b, ref_b))
         state = OptimizerState(learning_rate=0.01)
         for step in range(1, 7):
-            if replace_weights and step == 3:
-                net.weights[0] = rng.standard_normal((3, 7))
+            if overwrite_weights and step == 3:
+                net.weights[0][...] = rng.standard_normal((3, 7))
                 ref_w[0] = net.weights[0].copy()
             X = rng.standard_normal((9, 3))
             _, grads = backward(net, X, CrossEntropyOnLabels(rng.integers(0, 4, size=9)))
@@ -199,6 +202,13 @@ class TestOptimizerStep:
             m_w, v_w, m_b, v_b = moments
             assert np.array_equal(state.m, flat(m_w + m_b))
             assert np.array_equal(state.v, flat(v_w + v_b))
+
+    def test_layer_arrays_cannot_be_replaced(self):
+        net = init_network([3, 7, 4], seed=4)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((3, 7))
+        with pytest.raises(TypeError):
+            net.biases[1] = np.zeros(4)
 
     def _one_param_net(self, w0):
         net = init_network([1, 1], seed=0)
@@ -226,7 +236,7 @@ class TestOptimizerStep:
         grads.d_weights[0][...] = g
         grads.d_biases[0][...] = 0.0
         optimizer_step(net, grads, state)
-        expected = 1.0 - 0.1 * g / (np.sqrt(g**2) + state.eps) - 0.1 * 5e-4 * 1.0
+        expected = 1.0 - 0.1 * g / (np.sqrt(g**2) + EPS) - 0.1 * 5e-4 * 1.0
         np.testing.assert_allclose(net.weights[0][0, 0], expected, rtol=0, atol=1e-15)
 
     def test_descent_direction(self):

@@ -50,8 +50,8 @@ def nets_identical(a, b) -> bool:
 def logit_injector(width: int):
     """Single linear layer wired as the identity: features pass through as logits."""
     net = init_network((width, width), 0)
-    net.weights[0] = np.eye(width)
-    net.biases[0] = np.zeros(width)
+    net.weights[0][...] = np.eye(width)
+    net.biases[0][...] = 0.0
     return net
 
 
@@ -61,6 +61,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for bad in ({"learning_rate": -0.5}, {"lr_decay": float("nan")}, {"weight_decay": -1e-4}):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(**bad)
 
     def test_factory_overrides(self):
         cfg = teacher_train_config(seed=9, epochs=3)
@@ -78,7 +81,6 @@ class TestTrainTeacher:
         assert sub.network.num_outputs == 4
         assert cls.network.num_outputs == 2
         assert len(sub.loss_per_epoch) == 2
-        assert sub.final_loss == sub.loss_per_epoch[-1]
 
     def test_unknown_level_rejected(self):
         train, _ = make_split()
@@ -130,10 +132,10 @@ class TestStudentModes:
             train_student(split[0], SL22, kd, teacher=subclass_teacher)
 
     def test_teacher_stays_frozen(self, split, subclass_teacher):
-        before = subclass_teacher.copy()
+        before = subclass_teacher.params.copy()
         cfg = student_train_config(seed=7, epochs=2, distill=DistillConfig("skd", tau=5.0))
         train_student(split[0], SL22, cfg, teacher=subclass_teacher)
-        assert nets_identical(before, subclass_teacher)
+        assert np.array_equal(before, subclass_teacher.params)
 
     def test_baseline_equals_class_level_training(self, split):
         # same config, same streams: the two entry points must coincide bitwise
