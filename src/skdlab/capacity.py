@@ -132,19 +132,26 @@ def blahut_arimoto(
 
     Alternating maximization from a uniform input.  Each iteration brackets
     the capacity between sum(r * D) and max(D), where D_x is the relative
-    entropy between row x and the current output marginal; iteration stops
-    when the bracket is tighter than tol.
+    entropy between row x and the current output marginal q = r P; iteration
+    stops when the bracket is tighter than tol.
+
+    D_x is computed as sum_y P log2 P - sum_y P log2 q.  The first sum, the
+    row's negative entropy (0 log 0 = 0), does not depend on r, so it is
+    computed once per call and each iteration costs two matrix-vector
+    products.  Output columns that are zero in every row carry no mass and
+    are dropped first.  Every kept column then has q > 0, because r starts
+    uniform and each update multiplies it by 2^D > 0, so log2 q is finite and
+    no iteration needs a mask.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     P = channel.transition
+    P = P[:, P.any(axis=0)]
+    neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
     m = channel.input_size
     r = np.full(m, 1.0 / m)
     for _ in range(max_iters):
-        q = r @ P
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(P > 0, P / np.where(q > 0, q, 1.0), 1.0)
-            D = np.sum(np.where(P > 0, P * np.log2(ratio), 0.0), axis=1)
+        D = neg_entropy - P @ np.log2(r @ P)
         i_lower = float(r @ D)
         i_upper = float(D.max())
         if i_upper - i_lower < tol:

@@ -126,27 +126,46 @@ def _cast(raw: str, default):
 
 
 def _experiment_config(parser) -> ExperimentConfig:
-    """The default config with every key in parser set; an unknown section or key is an error."""
-    base = ExperimentConfig()
-    schema = _ini_schema(base)
+    """The default config with every key in parser set; an unknown section or key is an error.
+
+    Sections are applied in file order, one ``replace`` each; no config check
+    spans two sections.  A value the config dataclasses reject is reported
+    with its section and the keys that the check rejects on their own (all
+    of the section's keys when only their combination is rejected).
+    """
+    cfg = ExperimentConfig()
+    schema = _ini_schema(cfg)
     if parser.defaults():
         raise ConfigError("[DEFAULT]: unknown section")
-    changes = {}
     for section in parser.sections():
         if section not in schema:
             raise ConfigError(f"[{section}]: unknown section (known: {', '.join(schema)})")
         nested, keys = schema[section]
-        owner = getattr(base, nested) if nested else base
+        owner = getattr(cfg, nested) if nested else cfg
         values = {}
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"[{section}] {key}: unknown key (known: {', '.join(keys)})")
             try:
-                values[keys[key]] = _cast(raw, getattr(owner, keys[key]))
+                values[key] = _cast(raw, getattr(owner, keys[key]))
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        changes.update({nested: replace(owner, **values)} if nested else values)
-    return replace(base, **changes)
+
+        def with_values(chosen):
+            fields = {keys[k]: v for k, v in chosen.items()}
+            return replace(cfg, **({nested: replace(owner, **fields)} if nested else fields))
+
+        try:
+            cfg = with_values(values)
+        except ValueError as exc:
+            named = []
+            for key in values:
+                try:
+                    with_values({key: values[key]})
+                except ValueError:
+                    named.append(key)
+            raise ConfigError(f"[{section}] {', '.join(named or values)}: {exc}") from exc
+    return cfg
 
 
 def _read_matrix(path) -> np.ndarray:

@@ -95,12 +95,15 @@ def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.
     """
     if hierarchy.num_classes != 2:
         raise ValueError("auto centers support exactly two classes")
+    S = hierarchy.total_subclasses
+    if np.shape(difficulty) != (S,):
+        raise ValueError(f"difficulty has {np.size(difficulty)} entries, expected {S}")
     spc = hierarchy.subclasses_per_class
     n_tiers = max(spc)
     needs_second_axis = n_tiers > 1 or spc[0] != spc[1]
     if needs_second_axis and feature_dim < 2:
         raise ValueError("this hierarchy needs feature_dim >= 2 for auto centers")
-    centers = np.zeros((hierarchy.total_subclasses, feature_dim))
+    centers = np.zeros((S, feature_dim))
     sep = separation(difficulty)
     for k in range(n_tiers):
         members = [c for c in range(2) if k < spc[c]]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,51 @@ class TestMutualInformation:
             assert -1e-12 <= mi <= min(h_input, math.log2(5)) + 1e-12
 
 
+# A 3x2 channel whose bracket closes too slowly: the gap is still about 4e-6
+# after 100 000 iterations, in blahut_arimoto and the reference loop alike.
+SLOW_CHANNEL = [
+    [0.47986079086829925, 0.5201392091317008],
+    [0.3387967165374668, 0.6612032834625331],
+    [0.47980718601038225, 0.5201928139896177],
+]
+
+
+def _reference_blahut_arimoto(channel, tol=1e-10, max_iters=100_000):
+    """Blahut-Arimoto with D_x = sum_y P log2(P / q) masked at P = 0 in every iteration."""
+    P = channel.transition
+    m = channel.input_size
+    r = np.full(m, 1.0 / m)
+    for _ in range(max_iters):
+        q = r @ P
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(P > 0, P / np.where(q > 0, q, 1.0), 1.0)
+            D = np.sum(np.where(P > 0, P * np.log2(ratio), 0.0), axis=1)
+        i_lower = float(r @ D)
+        i_upper = float(D.max())
+        if i_upper - i_lower < tol:
+            return max(i_lower, 0.0), r
+        r = r * np.exp2(D)
+        r = r / r.sum()
+    raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
+
+
+def _reference_channels():
+    """2-6 x 2-6 Dirichlet channels, a third with a zeroed column, and edge cases."""
+    rng = np.random.default_rng(5)
+    channels = []
+    for k in range(60):
+        m, n = (int(v) for v in rng.integers(2, 7, size=2))
+        P = rng.dirichlet(np.ones(n), size=m)
+        if k % 3 == 0:
+            P[:, rng.integers(n)] = 0.0
+            P = P / P.sum(axis=1, keepdims=True)
+        channels.append(P)
+    channels += [np.eye(2), np.eye(5), np.eye(3)[[2, 0, 1]], np.eye(2)[::-1]]
+    channels += [z_channel(p).transition for p in (0.0, 0.3, 0.9, 1.0)]
+    channels += [np.array([[1.0, 0.0, 0.0], [0.2, 0.8, 0.0]]), SLOW_CHANNEL]
+    return channels
+
+
 class TestBlahutArimoto:
     def test_identity_channel(self):
         cap, dist = blahut_arimoto(ChannelSpec(np.eye(2)))
@@ -125,6 +171,31 @@ class TestBlahutArimoto:
         ch = ChannelSpec(np.random.default_rng(0).dirichlet(np.ones(5), size=4))
         with pytest.raises(ConvergenceError):
             blahut_arimoto(ch, tol=1e-14, max_iters=1)
+
+    @pytest.mark.parametrize("max_iters", [1, 10, 1000])
+    def test_matches_reference_loop(self, max_iters):
+        for P in _reference_channels():
+            ch = ChannelSpec(P)
+            try:
+                want = _reference_blahut_arimoto(ch, max_iters=max_iters)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    blahut_arimoto(ch, max_iters=max_iters)
+                continue
+            cap, r = blahut_arimoto(ch, max_iters=max_iters)
+            assert cap == pytest.approx(want[0], abs=1e-12)
+            np.testing.assert_allclose(r, want[1], rtol=0, atol=1e-12)
+
+    def test_slow_channel_fails_on_both_sides(self):
+        ch = ChannelSpec(SLOW_CHANNEL)
+        for solve in (blahut_arimoto, _reference_blahut_arimoto):
+            with pytest.raises(ConvergenceError):
+                solve(ch, max_iters=1000)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_permutation_channel_carries_log2_n_bits(self, n):
+        P = np.eye(n)[np.roll(np.arange(n), 1)]
+        assert blahut_arimoto(ChannelSpec(P))[0] == pytest.approx(math.log2(n), abs=1e-12)
 
 
 class TestQscCapacity:
@@ -386,6 +457,50 @@ class TestLabelBitsReport:
         with pytest.raises(ValueError):
             label_bits_report([[90, 10]], [None, [[1, 0], [0, 1]]], h, ((1,), (1, 1)))
 
+    EDGE_CONFUSIONS = {
+        "perfect": [[60, 0], [0, 60]],
+        "chance": [[30, 30], [30, 30]],
+        "wrong": [[0, 60], [60, 0]],
+    }
+    # the ValueError an always-wrong class or subclass confusion raises, per bound
+    EDGE_REJECTS = {
+        "SL22": ("p_c must lie", "subclass accuracy for class 0 must lie"),
+        "SL21": ("hypothesis accuracies must lie", "p_s must lie"),
+    }
+
+    @pytest.mark.parametrize("sub_acc", ["perfect", "chance", "wrong"])
+    @pytest.mark.parametrize("class_acc", ["perfect", "chance", "wrong"])
+    @pytest.mark.parametrize("task", ["SL22", "SL21"])
+    def test_edge_accuracies(self, task, class_acc, sub_acc):
+        h = build_task_preset(task)
+        counts = {"SL22": ((50, 50), (100, 100)), "SL21": ((50, 50), (200,))}[task]
+        subs = [self.EDGE_CONFUSIONS[sub_acc] if n > 1 else None for n in h.subclasses_per_class]
+
+        def report():
+            return label_bits_report(self.EDGE_CONFUSIONS[class_acc], subs, h, counts)
+
+        class_reject, sub_reject = self.EDGE_REJECTS[task]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if "wrong" in (class_acc, sub_acc):
+                with pytest.raises(ValueError, match=class_reject if class_acc == "wrong" else sub_reject):
+                    report()
+                return
+            if task == "SL21" and class_acc == "chance":
+                with pytest.warns(RuntimeWarning, match=r"p_h0 \+ p_h1 = 1"):
+                    row = report()
+            else:
+                row = report()
+        total = sum(map(sum, counts))
+        max_sub_bits = sum(sum(c) / total * math.log2(len(c)) for c in counts if len(c) > 1)
+        b = row.breakdown
+        assert b.class_bits == pytest.approx(1.0 if class_acc == "perfect" else 0.0, abs=1e-12)
+        assert b.subclass_bits == pytest.approx(max_sub_bits if sub_acc == "perfect" else 0.0, abs=1e-12)
+        empirical = [row.empirical["class_capacity"], *row.empirical["subclass_capacity"].values()]
+        levels = [class_acc] + [sub_acc] * (len(empirical) - 1)
+        for cap, level in zip(empirical, levels):
+            assert cap == pytest.approx(1.0 if level == "perfect" else 0.0, abs=1e-12)
+
 
 class TestBitsWriters:
     def _rows(self):
@@ -400,7 +515,8 @@ class TestBitsWriters:
     def test_csv_blank_cell_for_missing_subclass(self, tmp_path):
         p = tmp_path / "bits.csv"
         write_bits_csv(self._rows(), p)
-        rows = list(csv.reader(p.open()))
+        with p.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["task", "class_bits", "subclass_bits", "total_bits"]
         assert rows[1][0] == "ClassLevel" and rows[1][2] == ""
         assert rows[2][0] == "SL12" and rows[2][2] != ""

@@ -198,7 +198,11 @@ class TestGenerateCommand:
     @pytest.mark.parametrize(
         "text, named",
         [("[techer]\n", "[techer]: unknown section"),
-         ("[teacher]\nepoch = 4\n", "[teacher] epoch: unknown key")],
+         ("[teacher]\nepoch = 4\n", "[teacher] epoch: unknown key"),
+         ("[student]\nweight_decay = -1\n",
+          "[student] weight_decay: weight_decay must be finite and non-negative"),
+         ("[distill]\ntau_kd = nan\n", "[distill] tau_kd: tau must be finite and positive"),
+         ("[distill]\ntau_skd = 4\ntau_kd = nan\nlam = 0.4\n", "[distill] tau_kd: tau must")],
     )
     def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.ini"

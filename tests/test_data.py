@@ -69,6 +69,10 @@ class TestAutoCenters:
         with pytest.raises(ValueError):
             auto_centers(SL22, (0.2, 0.8, 0.2, 0.8), 1)
 
+    def test_one_difficulty_per_subclass(self):
+        with pytest.raises(ValueError, match="difficulty has 2 entries, expected 4"):
+            auto_centers(SL22, (0.2, 0.8), 2)
+
 
 class TestSyntheticSpec:
     def test_difficulty_broadcast(self):
