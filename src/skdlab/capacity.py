@@ -18,8 +18,23 @@ Three closed-form channel families cover the cases of interest:
 * Z-channel: one input noiseless, the other flipping with probability p.
   Capacity log2(1 + (1 - p) * p^(p / (1 - p))).
 
-The Blahut-Arimoto iteration is implemented independently of all the closed
-forms and serves as the numerical oracle they are checked against.
+blahut_arimoto computes the capacity of any explicit channel matrix.  It is
+implemented independently of all the closed forms and serves as the
+numerical oracle they are checked against.  It maximizes the mutual
+information I(r) over input distributions r from a uniform start:
+
+* Each iteration tries a Newton step on I over the simplex, restricted to
+  the active inputs, and keeps it only if it raises I.  Otherwise it takes
+  the classic Blahut-Arimoto step, which never lowers I.  Newton converges
+  in a few steps where the classic step alone crawls, for example on a
+  teacher just above chance, whose two confusion rows nearly coincide.
+* An input whose mass reaches 0 leaves the active set.  It comes back when
+  its relative entropy D_x to the output marginal exceeds the current I,
+  because by the KKT conditions an input with no mass at the optimum has
+  D_x <= C.
+* The result is certified, not trusted: for every r the capacity C lies in
+  [I(r), max_x D_x], and the solver stops only when that bracket is
+  narrower than tol.
 
 Two bounds combine these capacities into label bits per training sample:
 
@@ -130,18 +145,24 @@ def blahut_arimoto(
 ) -> tuple[float, np.ndarray]:
     """Capacity and a capacity-achieving input distribution.
 
-    Alternating maximization from a uniform input.  Each iteration brackets
-    the capacity between sum(r * D) and max(D), where D_x is the relative
+    Ascent on I(r) from a uniform input.  Each iteration brackets the
+    capacity between I(r) = sum(r * D) and max(D), where D_x is the relative
     entropy between row x and the current output marginal q = r P; iteration
-    stops when the bracket is tighter than tol.
+    stops when the bracket is tighter than tol.  The bracket holds for every
+    input distribution, so it certifies the result however r was reached.
+
+    Each iteration first tries a Newton step (see _newton_step) and keeps it
+    if it raises I.  Otherwise it takes the Blahut-Arimoto step
+    r <- r * 2^D / sum(r * 2^D), which never lowers I.  The Newton step may
+    set an input's mass to exactly 0; the Blahut-Arimoto step keeps zeros at
+    zero and every positive mass positive.
 
     D_x is computed as sum_y P log2 P - sum_y P log2 q.  The first sum, the
     row's negative entropy (0 log 0 = 0), does not depend on r, so it is
-    computed once per call and each iteration costs two matrix-vector
-    products.  Output columns that are zero in every row carry no mass and
-    are dropped first.  Every kept column then has q > 0, because r starts
-    uniform and each update multiplies it by 2^D > 0, so log2 q is finite and
-    no iteration needs a mask.
+    computed once per call.  Output columns that are zero in every row carry
+    no mass and are dropped first.  Every kept column has q > 0 at the
+    uniform start, both steps keep it so (a Newton step that would empty a
+    column is refused), and so log2 q is always finite and D needs no mask.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -150,15 +171,84 @@ def blahut_arimoto(
     neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
     m = channel.input_size
     r = np.full(m, 1.0 / m)
+    q = r @ P
+    D = neg_entropy - P @ np.log2(q)
     for _ in range(max_iters):
-        D = neg_entropy - P @ np.log2(r @ P)
         i_lower = float(r @ D)
         i_upper = float(D.max())
         if i_upper - i_lower < tol:
             return max(i_lower, 0.0), r
+        r_new = _newton_step(P, q, D, r, i_lower)
+        if r_new is not None:
+            q_new = r_new @ P
+            if q_new.all():  # an emptied column would give some D_x = +inf
+                D_new = neg_entropy - P @ np.log2(q_new)
+                if r_new @ D_new > i_lower:
+                    r, q, D = r_new, q_new, D_new
+                    continue
         r = r * np.exp2(D)
         r = r / r.sum()
+        q = r @ P
+        D = neg_entropy - P @ np.log2(q)
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
+
+
+def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
+    """Newton step on I(r) over the simplex, restricted to the active inputs.
+
+    The gradient of I is D_x - 1/ln 2 and its Hessian is
+    -(1/ln 2) sum_y P_xy P_x'y / q_y.  The free inputs are those with mass,
+    plus the zero-mass inputs with D_x above the lower bound I(r): moving
+    mass onto such an input raises I.  By the KKT conditions an input with no
+    mass at the optimum has D_x <= C, so that rule readmits every input the
+    optimum needs.
+
+    The step keeps sum(r) = 1 by moving mass between each free input and the
+    last one, whose direction e_x - e_last has curvature
+    sum_y (P_x - P_last)_y^2 / (q_y ln 2); the constant in the gradient
+    cancels.  Where rows are linearly dependent I is linear along some
+    directions and this curvature vanishes; a ridge of 1e-12 of the trace
+    makes such a step very long, and the step is then cut where the first
+    mass reaches 0, which is the best point on that line.
+
+    If the full step leaves the simplex, a zero-mass input it would push
+    below 0 is dropped from the free set and the step is solved again;
+    otherwise the step is cut where the first mass reaches 0, and that input
+    is set to exactly 0, leaving the active set.  Returns None when fewer
+    than two inputs are free, because then no step stays on the simplex.
+    """
+    free = np.flatnonzero((r > 0) | (D > i_lower))
+    r_free = r[free]
+    while len(free) > 1:
+        A = P[free]
+        B = A[:-1] - A[-1]
+        H = (B / q) @ B.T
+        ridge = 1e-12 * H.trace()
+        if ridge == 0.0:  # identical free rows: no direction changes I
+            return None
+        H.flat[:: len(free)] += ridge
+        g = D[free]
+        d = np.empty(len(free))
+        d[:-1] = np.linalg.solve(H, (g[:-1] - g[-1]) * np.log(2.0))
+        d[-1] = -d[:-1].sum()
+        step = r_free + d
+        if step.min() >= 0.0:
+            break
+        shrink = d < 0
+        stuck = shrink & (r_free == 0)
+        if stuck.any():
+            free, r_free = free[~stuck], r_free[~stuck]
+            continue
+        ratios = r_free[shrink] / -d[shrink]
+        j = ratios.argmin()
+        step = r_free + ratios[j] * d
+        step[np.flatnonzero(shrink)[j]] = 0.0
+        break
+    else:
+        return None
+    r_new = np.zeros(len(r))
+    r_new[free] = np.maximum(step, 0.0)
+    return r_new / r_new.sum()
 
 
 def qsc_capacity(n: int, p: float) -> float:

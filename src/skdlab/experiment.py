@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -159,6 +158,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
     if jobs == 1:
         raw = [_seed_worker(t) for t in tasks]
     else:
+        # imported here: the pool module costs every process start that never uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_seed_worker, tasks))
     raw.sort(key=lambda item: item[0])  # deterministic merge regardless of pool order

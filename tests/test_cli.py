@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import skdlab
 from skdlab.capacity import bac_capacity, qsc_capacity
 from skdlab.cli import _experiment_config, _ini_schema, _load_ini, main
 from skdlab.experiment import ExperimentConfig
@@ -63,6 +68,12 @@ class TestCapacityCommand:
         m.write_text("0.9,0.1\n0.2,0.8\n")
         code, out, _ = run(capsys, "capacity", "--matrix", str(m))
         assert code == 0 and out == "0.397754\n"  # equals the (0.9, 0.8) closed form
+
+    def test_near_chance_matrix(self, capsys, tmp_path):
+        m = tmp_path / "confusion.csv"
+        m.write_text("600,400\n597,403\n")
+        code, out, _ = run(capsys, "capacity", "--matrix", str(m))
+        assert code == 0 and out == "0.000007\n"  # bac_capacity(0.6, 0.403) = 6.754e-06
 
     def test_non_integer_size_rejected(self, capsys):
         code, _, err = run(capsys, "capacity", "--qsc", "4.5", "0.7")
@@ -481,3 +492,13 @@ class TestConfigKeys:
         })
         assert expected != base
         assert _experiment_config(_load_ini(ini)[0]) == expected
+
+
+def test_import_does_not_load_the_process_pool():
+    # only `experiment --jobs` above 1 uses the pool; every other start skips its import
+    src = str(Path(skdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, skdlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
