@@ -301,13 +301,9 @@ def bac_optimal_input(p_h0: float, p_h1: float) -> float:
     Raises on the singular line p_h0 + p_h1 = 1, where the output is
     independent of the input and every distribution is trivially optimal.
     """
+    k = bac_exponent(p_h0, p_h1)
     p0, p1 = _bac_canonical(p_h0, p_h1)
-    denom = p0 + p1 - 1.0
-    if denom == 0.0:
-        raise ValueError("singular channel: p_h0 + p_h1 = 1 has zero capacity")
-    k = (binary_entropy(p1) - binary_entropy(p0)) / denom
-    alpha = (1.0 / (np.exp2(k) + 1.0) - (1.0 - p0)) / denom
-    return float(alpha)
+    return float((1.0 / (np.exp2(k) + 1.0) - (1.0 - p0)) / (p0 + p1 - 1.0))
 
 
 def bac_capacity(p_h0: float, p_h1: float) -> float:

@@ -21,7 +21,7 @@ distillation and plain baseline training it targets class labels.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -192,31 +192,29 @@ class DistillAgainstTeacher:
 class CombinedObjective:
     """lam * CE(labels) + (1 - lam) * softened KL(teacher).
 
-    The frozen teacher's softened targets are computed once, at construction;
-    rows() slices them.
+    The frozen teacher's logits are only read at construction, to compute its
+    softened targets once; rows() slices those targets.
     """
 
     labels: np.ndarray
-    teacher_logits: np.ndarray
+    teacher_logits: InitVar[np.ndarray]
     tau: float
     lam: float
     _teacher_probs: np.ndarray = field(init=False, repr=False)
     _teacher_log_probs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, teacher_logits):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         self.labels = np.asarray(self.labels)
-        self.teacher_logits = np.atleast_2d(np.asarray(self.teacher_logits, dtype=float))
         self._teacher_probs, self._teacher_log_probs = softmax_and_log_softmax(
-            self.teacher_logits, self.tau
+            np.atleast_2d(teacher_logits), self.tau
         )
 
     def rows(self, index) -> "CombinedObjective":
         """The same objective on a subset of samples (an index array or a slice)."""
         sub = copy.copy(self)
         sub.labels = self.labels[index]
-        sub.teacher_logits = self.teacher_logits[index]
         sub._teacher_probs = self._teacher_probs[index]
         sub._teacher_log_probs = self._teacher_log_probs[index]
         return sub

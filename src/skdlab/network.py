@@ -7,11 +7,12 @@ backward pass is the chain rule written out.
 
 A network's parameters live in one flat float64 vector (all weights, then
 all biases) that the ``weights`` and ``biases`` tuples view, so a layer can
-be written in place but not replaced; the optimizer's moments are two
-vectors of the same layout, so an Adam step is one vectorised update.
+be written in place but not replaced.  Gradients and the optimizer's moments
+are flat vectors of the same layout, so an Adam step is one vectorised update.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ class DenseNetwork:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(self.layer_dims)
@@ -42,10 +44,15 @@ class DenseNetwork:
         arrays = list(self.weights) + list(self.biases)
         if [np.shape(a) for a in arrays] != shapes:
             raise ValueError("parameter arrays do not match layer_dims")
+        bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+        self._layout = tuple((slice(a, b), s) for a, b, s in zip(bounds, bounds[1:], shapes))
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        pieces = np.split(self.params, np.cumsum([math.prod(s) for s in shapes])[:-1])
-        views = tuple(piece.reshape(shape) for piece, shape in zip(pieces, shapes))
-        self.weights, self.biases = views[: len(dims) - 1], views[len(dims) - 1 :]
+        self.weights, self.biases = self._views(self.params)
+
+    def _views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per-layer weight and bias views of a vector laid out like params."""
+        views = tuple(flat[piece].reshape(shape) for piece, shape in self._layout)
+        return views[: len(self.layer_dims) - 1], views[len(self.layer_dims) - 1 :]
 
     @property
     def num_outputs(self) -> int:
@@ -61,8 +68,11 @@ class DenseNetwork:
 
 @dataclass
 class GradientSet:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    """One flat gradient vector laid out like DenseNetwork.params, and its per-layer views."""
+
+    flat: np.ndarray
+    d_weights: tuple[np.ndarray, ...]
+    d_biases: tuple[np.ndarray, ...]
 
 
 def init_network(layer_dims, seed) -> DenseNetwork:
@@ -84,19 +94,25 @@ def init_network(layer_dims, seed) -> DenseNetwork:
     return DenseNetwork(dims, weights, biases)
 
 
-def forward(net: DenseNetwork, features) -> np.ndarray:
-    """Logits for a batch (n, d)."""
+def _forward_pass(net: DenseNetwork, features) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input activations (the checked batch first) and the logits."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be a 2-D batch, got {x.ndim} dimension(s)")
     if x.shape[1] != net.num_inputs:
         raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.num_inputs}")
+    activations = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    return activations, activations[-1] @ net.weights[-1] + net.biases[-1]
+
+
+def forward(net: DenseNetwork, features) -> np.ndarray:
+    """Logits for a batch (n, d)."""
+    x = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite features")
-    a = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-    return a @ net.weights[-1] + net.biases[-1]
+    return _forward_pass(net, x)[1]
 
 
 def softmax_and_log_softmax(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -124,33 +140,25 @@ def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet
 
     loss_spec supplies the output-layer story: it must expose
     loss_and_logit_grad(logits) -> (scalar loss, dL/dlogits).  The chain
-    rule back through the ReLU stack is handled here.
+    rule back through the ReLU stack is handled here.  A ReLU output is
+    positive exactly where its input is, so the activations double as masks.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    if x.shape[0] == 0:
+    activations, logits = _forward_pass(net, features)
+    if len(logits) == 0:
         raise ValueError("empty batch")
-    activations = [x]
-    pre_acts = []
-    a = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    logits = a @ net.weights[-1] + net.biases[-1]
     loss, d_logits = loss_spec.loss_and_logit_grad(logits)
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
-    d_weights = [np.empty(0)] * len(net.weights)
-    d_biases = [np.empty(0)] * len(net.biases)
+    flat = np.empty_like(net.params)
+    d_weights, d_biases = net._views(flat)
     delta = d_logits
     for li in range(len(net.weights) - 1, -1, -1):
-        d_weights[li] = activations[li].T @ delta
-        d_biases[li] = delta.sum(axis=0)
+        np.matmul(activations[li].T, delta, out=d_weights[li])
+        delta.sum(axis=0, out=d_biases[li])
         if li > 0:
-            delta = (delta @ net.weights[li].T) * (pre_acts[li - 1] > 0)
-    return float(loss), GradientSet(d_weights, d_biases)
+            delta = (delta @ net.weights[li].T) * (activations[li] > 0)
+    return float(loss), GradientSet(flat, d_weights, d_biases)
 
 
 @dataclass
@@ -176,7 +184,7 @@ class OptimizerState:
 
 def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState) -> None:
     """One in-place parameter update over the network's flat parameter vector."""
-    g = np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
+    g = grads.flat
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient")
     params = net.params

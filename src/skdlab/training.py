@@ -84,9 +84,17 @@ class TrainResult:
     loss_per_epoch: list[float]
 
 
-def _check_hierarchy(ds: Dataset, hierarchy: LabelHierarchy) -> None:
+def _level_targets(ds: Dataset, hierarchy: LabelHierarchy, level: str) -> tuple[int, np.ndarray]:
+    """Output width and labels at class or subclass level of a non-empty dataset of hierarchy."""
     if ds.hierarchy != hierarchy:
         raise ValueError("dataset hierarchy does not match the requested hierarchy")
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
+    if level == "class":
+        return hierarchy.num_classes, ds.class_labels
+    if level == "subclass":
+        return hierarchy.total_subclasses, ds.subclass_labels
+    raise ValueError(f"level must be 'class' or 'subclass', got {level!r}")
 
 
 def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig) -> TrainResult:
@@ -127,17 +135,11 @@ def train_teacher(
     cfg: TrainConfig,
     label_level: str = "subclass",
 ) -> TrainResult:
-    """Minibatch cross-entropy training at class or subclass level."""
-    _check_hierarchy(train_set, hierarchy)
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
-    if label_level == "class":
-        width, labels = hierarchy.num_classes, train_set.class_labels
-    elif label_level == "subclass":
-        width, labels = hierarchy.total_subclasses, train_set.subclass_labels
-    else:
-        raise ValueError("label_level must be 'class' or 'subclass'")
-    return _run_training(train_set.features, CrossEntropyOnLabels(labels), width, cfg)
+    """Cross-entropy training at class or subclass level, as the baseline or subclass student."""
+    if label_level not in ("class", "subclass"):
+        raise ValueError(f"label_level must be 'class' or 'subclass', got {label_level!r}")
+    mode = "baseline" if label_level == "class" else "subclass"
+    return train_student(train_set, hierarchy, replace(cfg, distill=DistillConfig(mode)))
 
 
 def train_student(
@@ -147,14 +149,9 @@ def train_student(
     teacher: Optional[DenseNetwork] = None,
 ) -> TrainResult:
     """Train a student under cfg.distill's mode; teacher stays frozen."""
-    _check_hierarchy(train_set, hierarchy)
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
     distill = cfg.distill or DistillConfig()
-    if distill.subclass_level:
-        width, labels = hierarchy.total_subclasses, train_set.subclass_labels
-    else:
-        width, labels = hierarchy.num_classes, train_set.class_labels
+    level = "subclass" if distill.subclass_level else "class"
+    width, labels = _level_targets(train_set, hierarchy, level)
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
@@ -162,7 +159,6 @@ def train_student(
     if teacher is None:
         raise ValueError(f"mode {distill.mode!r} requires a teacher")
     if teacher.num_outputs != width:
-        level = "subclass" if distill.subclass_level else "class"
         raise ValueError(
             f"teacher level mismatch: mode {distill.mode!r} needs a {level}-level "
             f"teacher with {width} outputs, got {teacher.num_outputs}"
@@ -226,6 +222,16 @@ def _prf_from_confusion(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return precision, recall, f1
 
 
+def _model_probabilities(
+    model: DenseNetwork, dataset: Dataset, hierarchy: LabelHierarchy, level: str
+) -> np.ndarray:
+    """Softmax outputs of a class- or subclass-level model on a dataset of hierarchy."""
+    width, _ = _level_targets(dataset, hierarchy, level)
+    if model.num_outputs != width:
+        raise ValueError(f"model width does not match {level} count")
+    return softmax_temperature(forward(model, dataset.features), 1.0)
+
+
 def evaluate(
     model: DenseNetwork,
     dataset: Dataset,
@@ -233,25 +239,13 @@ def evaluate(
     level_of_model: str,
 ) -> Metrics:
     """Class-level metrics; subclass models are aggregated before the argmax."""
-    _check_hierarchy(dataset, hierarchy)
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if level_of_model == "class":
-        if model.num_outputs != hierarchy.num_classes:
-            raise ValueError("model width does not match class count")
-        class_probs = softmax_temperature(forward(model, dataset.features), 1.0)
-        subclass_confusion = None
-    elif level_of_model == "subclass":
-        if model.num_outputs != hierarchy.total_subclasses:
-            raise ValueError("model width does not match subclass count")
-        subclass_probs = softmax_temperature(forward(model, dataset.features), 1.0)
-        class_probs = aggregate_class_probabilities(subclass_probs, hierarchy)
-        subclass_pred = np.argmax(subclass_probs, axis=1)
+    probs = _model_probabilities(model, dataset, hierarchy, level_of_model)
+    class_probs, subclass_confusion = probs, None
+    if level_of_model == "subclass":
+        class_probs = aggregate_class_probabilities(probs, hierarchy)
         subclass_confusion = _confusion(
-            dataset.subclass_labels, subclass_pred, hierarchy.total_subclasses
+            dataset.subclass_labels, np.argmax(probs, axis=1), hierarchy.total_subclasses
         )
-    else:
-        raise ValueError("level_of_model must be 'class' or 'subclass'")
     pred = np.argmax(class_probs, axis=1)
     conf = _confusion(dataset.class_labels, pred, hierarchy.num_classes)
     precision, recall, f1 = _prf_from_confusion(conf)
@@ -275,9 +269,7 @@ def per_class_subclass_confusions(
     that class's own subclass columns, giving an n_c x n_c matrix indexed by
     within-class subclass position.  Single-subclass classes yield None.
     """
-    if model.num_outputs != hierarchy.total_subclasses:
-        raise ValueError("model width does not match subclass count")
-    probs = softmax_temperature(forward(model, dataset.features), 1.0)
+    probs = _model_probabilities(model, dataset, hierarchy, "subclass")
     out: list[Optional[np.ndarray]] = []
     for c in range(hierarchy.num_classes):
         n_c = hierarchy.subclasses_per_class[c]

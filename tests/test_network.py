@@ -156,6 +156,25 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, np.zeros((0, 2)), CrossEntropyOnLabels(np.array([], dtype=int)))
 
+    @pytest.mark.parametrize("features", [np.zeros(2), np.zeros((1, 3))], ids=["1-D", "width"])
+    def test_input_shape_checked_as_in_forward(self, features):
+        net = init_network([2, 3, 2], seed=0)
+        with pytest.raises(ValueError, match="feature"):
+            forward(net, features)
+        with pytest.raises(ValueError, match="feature"):
+            backward(net, features, CrossEntropyOnLabels(np.array([0])))
+
+    def test_gradients_share_the_parameter_layout(self):
+        rng = np.random.default_rng(8)
+        net = init_network([3, 5, 4, 2], seed=8)
+        spec = CrossEntropyOnLabels(np.arange(6) % 2)
+        _, grads = backward(net, rng.standard_normal((6, 3)), spec)
+        assert grads.flat.shape == net.params.shape
+        np.testing.assert_array_equal(grads.flat, flat(grads.d_weights + grads.d_biases))
+        grads.d_weights[1][2, 3] = 7.0  # layer 1 starts after layer 0's 3 x 5 weights
+        assert grads.flat[3 * 5 + 2 * 4 + 3] == 7.0
+        np.testing.assert_array_equal(grads.flat, flat(grads.d_weights + grads.d_biases))
+
 
 def loop_adam_step(weights, biases, grads, moments, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
     """Per-layer Adam loop: the reference the flat optimizer_step must match bit for bit."""

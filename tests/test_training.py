@@ -137,11 +137,12 @@ class TestStudentModes:
         train_student(split[0], SL22, cfg, teacher=subclass_teacher)
         assert np.array_equal(before, subclass_teacher.params)
 
-    def test_baseline_equals_class_level_training(self, split):
+    @pytest.mark.parametrize("level, mode", [("class", "baseline"), ("subclass", "subclass")])
+    def test_baseline_equals_class_level_training(self, split, level, mode):
         # same config, same streams: the two entry points must coincide bitwise
-        cfg = student_train_config(seed=5, epochs=3, distill=DistillConfig("baseline"))
+        cfg = student_train_config(seed=5, epochs=3, distill=DistillConfig(mode))
         via_student = train_student(split[0], SL22, cfg)
-        via_teacher = train_teacher(split[0], SL22, cfg, label_level="class")
+        via_teacher = train_teacher(split[0], SL22, cfg, label_level=level)
         assert nets_identical(via_student.network, via_teacher.network)
         assert via_student.loss_per_epoch == via_teacher.loss_per_epoch
 
@@ -315,3 +316,15 @@ class TestSubclassConfusions:
         ds = Dataset(np.zeros((1, 2)), [0], [0], SL22)
         with pytest.raises(ValueError):
             per_class_subclass_confusions(logit_injector(2), ds, SL22)
+
+    def test_hierarchy_checked(self):
+        # SL12 and SL21 both have 3 subclasses, so only the hierarchy check tells them apart
+        sl12, sl21 = build_task_preset("SL12"), build_task_preset("SL21")
+        ds = Dataset(np.eye(3), [0, 1, 2], [0, 1, 1], sl12)
+        with pytest.raises(ValueError, match="hierarchy"):
+            per_class_subclass_confusions(logit_injector(3), ds, sl21)
+
+    def test_empty_dataset_rejected(self):
+        ds = Dataset(np.zeros((0, 4)), [], [], SL22)
+        with pytest.raises(ValueError, match="empty"):
+            per_class_subclass_confusions(logit_injector(4), ds, SL22)
