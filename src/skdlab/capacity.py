@@ -85,10 +85,10 @@ class ChannelSpec:
         t = np.asarray(self.transition, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise ValueError("transition must be a 2-D matrix")
-        if not np.all((t >= -1e-15) & (t <= 1.0 + 1e-15)):  # rejects NaN too
+        if not (t.min() >= -1e-15 and t.max() <= 1.0 + 1e-15):  # NaN fails both
             raise ValueError("transition entries must lie in [0, 1]")
         rows = t.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
+        if not (rows.max() - 1.0 <= ROW_SUM_TOL and 1.0 - rows.min() <= ROW_SUM_TOL):
             raise ValueError("transition rows must sum to 1")
         t = np.clip(t, 0.0, 1.0)
         object.__setattr__(self, "transition", t)
@@ -155,7 +155,10 @@ def blahut_arimoto(
     if it raises I.  Otherwise it takes the Blahut-Arimoto step
     r <- r * 2^D / sum(r * 2^D), which never lowers I.  The Newton step may
     set an input's mass to exactly 0; the Blahut-Arimoto step keeps zeros at
-    zero and every positive mass positive.
+    zero and every positive mass positive.  The lower bound I(r) is computed
+    once per iteration and carried forward: an accepted Newton step brings
+    the value its acceptance test computed, and a Blahut-Arimoto step
+    computes its own.
 
     D_x is computed as sum_y P log2 P - sum_y P log2 q.  The first sum, the
     row's negative entropy (0 log 0 = 0), does not depend on r, so it is
@@ -173,8 +176,8 @@ def blahut_arimoto(
     r = np.full(m, 1.0 / m)
     q = r @ P
     D = neg_entropy - P @ np.log2(q)
+    i_lower = float(r @ D)
     for _ in range(max_iters):
-        i_lower = float(r @ D)
         i_upper = float(D.max())
         if i_upper - i_lower < tol:
             return max(i_lower, 0.0), r
@@ -183,13 +186,15 @@ def blahut_arimoto(
             q_new = r_new @ P
             if q_new.all():  # an emptied column would give some D_x = +inf
                 D_new = neg_entropy - P @ np.log2(q_new)
-                if r_new @ D_new > i_lower:
-                    r, q, D = r_new, q_new, D_new
+                i_new = float(r_new @ D_new)
+                if i_new > i_lower:
+                    r, q, D, i_lower = r_new, q_new, D_new, i_new
                     continue
         r = r * np.exp2(D)
         r = r / r.sum()
         q = r @ P
         D = neg_entropy - P @ np.log2(q)
+        i_lower = float(r @ D)
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
 
 
@@ -209,7 +214,11 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     cancels.  Where rows are linearly dependent I is linear along some
     directions and this curvature vanishes; a ridge of 1e-12 of the trace
     makes such a step very long, and the step is then cut where the first
-    mass reaches 0, which is the best point on that line.
+    mass reaches 0, which is the best point on that line.  With two free
+    inputs, as on every 2x2 channel, there is one direction and the system
+    is 1x1, solved by one division; larger systems take an LU solve.  When
+    every input has mass, P, D and r are used as they are, without gathering
+    the free rows.
 
     If the full step leaves the simplex, a zero-mass input it would push
     below 0 is dropped from the free set and the step is solved again;
@@ -217,27 +226,33 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     is set to exactly 0, leaving the active set.  Returns None when fewer
     than two inputs are free, because then no step stays on the simplex.
     """
-    free = np.flatnonzero((r > 0) | (D > i_lower))
-    r_free = r[free]
-    while len(free) > 1:
-        A = P[free]
+    if r.all():  # every input has mass, the common case: no gathers, no scatter
+        free, A, g, r_free = None, P, D, r
+    else:
+        free = np.flatnonzero((r > 0) | (D > i_lower))
+        A, g, r_free = P[free], D[free], r[free]
+    while len(r_free) > 1:
         B = A[:-1] - A[-1]
         H = (B / q) @ B.T
-        ridge = 1e-12 * H.trace()
+        one_direction = len(H) == 1
+        ridge = 1e-12 * (H[0, 0] if one_direction else H.trace())
         if ridge == 0.0:  # identical free rows: no direction changes I
             return None
-        H.flat[:: len(free)] += ridge
-        g = D[free]
-        d = np.empty(len(free))
-        d[:-1] = np.linalg.solve(H, (g[:-1] - g[-1]) * np.log(2.0))
-        d[-1] = -d[:-1].sum()
+        rhs = (g[:-1] - g[-1]) * np.log(2.0)
+        if one_direction:
+            head = rhs / (H[0, 0] + ridge)
+        else:
+            H.flat[:: len(H) + 1] += ridge
+            head = np.linalg.solve(H, rhs)
+        d = np.concatenate((head, -head.sum(keepdims=True)))
         step = r_free + d
         if step.min() >= 0.0:
             break
         shrink = d < 0
         stuck = shrink & (r_free == 0)
-        if stuck.any():
-            free, r_free = free[~stuck], r_free[~stuck]
+        if stuck.any():  # some input has no mass, so free is an index array
+            keep = ~stuck
+            free, A, g, r_free = free[keep], A[keep], g[keep], r_free[keep]
             continue
         ratios = r_free[shrink] / -d[shrink]
         j = ratios.argmin()
@@ -246,9 +261,12 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
         break
     else:
         return None
-    r_new = np.zeros(len(r))
-    r_new[free] = np.maximum(step, 0.0)
-    return r_new / r_new.sum()
+    step = np.maximum(step, 0.0)
+    if free is not None:
+        r_new = np.zeros(len(r))
+        r_new[free] = step
+        step = r_new
+    return step / step.sum()
 
 
 def qsc_capacity(n: int, p: float) -> float:

@@ -49,6 +49,10 @@ class DenseNetwork:
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
         self.weights, self.biases = self._views(self.params)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the network, so its views share the new params
+        return DenseNetwork, (self.layer_dims, self.weights, self.biases)
+
     def _views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Per-layer weight and bias views of a vector laid out like params."""
         views = tuple(flat[piece].reshape(shape) for piece, shape in self._layout)

@@ -55,12 +55,15 @@ class TestBinaryEntropy:
 
 class TestChannelSpec:
     def test_rows_must_be_stochastic(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(np.array([[0.9, 0.2], [0.5, 0.5]]))
+        for row in ([0.9, 0.2], [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9]):
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                ChannelSpec(np.array([row, [0.5, 0.5]]))
+        ChannelSpec(np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5]]))  # within ROW_SUM_TOL
 
     def test_entries_must_be_finite(self):
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            ChannelSpec(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+        for bad in (np.nan, np.inf, -np.inf, -1e-12):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                ChannelSpec(np.array([[bad, 1.0], [0.5, 0.5]]))
 
     def test_qsc_rows(self):
         ch = qsc_channel(4, 0.7)
@@ -114,6 +117,10 @@ SLOW_CHANNEL = [
     [0.3387967165374668, 0.6612032834625331],
     [0.47980718601038225, 0.5201928139896177],
 ]
+
+
+# class confusions of a teacher just above chance: two nearly equal rows
+NEAR_CHANCE_CONFUSIONS = [[[600, 400], [597, 403]], [[900, 100], [897, 103]], [[200, 800], [197, 803]]]
 
 
 def _reference_blahut_arimoto(channel, tol=1e-10, max_iters=100_000):
@@ -264,6 +271,21 @@ class TestBlahutArimoto:
         for p0, p1 in rng.uniform(0.01, 1.0, size=(300, 2)):
             cap, _ = blahut_arimoto(bac_channel(p0, p1))
             assert cap == pytest.approx(bac_capacity(p0, p1), abs=1e-9)
+
+    def test_binary_channels_need_no_linear_solve(self, monkeypatch):
+        # two free inputs give a 1x1 Newton system, which is solved by a division
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called on a binary channel")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        rng = np.random.default_rng(31)
+        channels = [bac_channel(p0, p1) for p0, p1 in rng.uniform(0.01, 1.0, size=(100, 2))]
+        channels += [confusion_to_channel(c) for c in NEAR_CHANCE_CONFUSIONS]
+        for ch in channels:
+            cap, r = blahut_arimoto(ch)
+            i_lower, i_upper = _bracket(ch, r)
+            assert i_upper - i_lower < 1e-10
+            assert cap == pytest.approx(i_lower, abs=1e-12)
 
     def test_binary_channels_certify_within_twenty_steps(self):
         # a deterministic grid of accuracies in (0.5, 1), down to 1e-6 above chance
@@ -532,10 +554,7 @@ class TestLabelBitsReport:
         assert row.breakdown.total_bits == pytest.approx(expected.total_bits, abs=1e-12)
         assert row.fitted["p_c"] == pytest.approx(p_c)
 
-    @pytest.mark.parametrize(
-        "class_conf",
-        [[[600, 400], [597, 403]], [[900, 100], [897, 103]], [[200, 800], [197, 803]]],
-    )
+    @pytest.mark.parametrize("class_conf", NEAR_CHANCE_CONFUSIONS)
     def test_near_chance_teacher(self, class_conf):
         # two nearly equal rows: the fixed-point iteration alone raised ConvergenceError here
         h = build_task_preset("ClassLevel")
@@ -543,6 +562,36 @@ class TestLabelBitsReport:
         row = label_bits_report(class_conf, [None, None], h, counts)
         diag = confusion_to_channel(class_conf).transition.diagonal()
         assert row.empirical["class_capacity"] == pytest.approx(bac_capacity(*diag), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "task, counts, sub_conf, expect",
+        [
+            ("SL22", ((50, 50), (50, 50)), [[0, 0], [10, 40]], "every true label needs at least one sample"),
+            ("SL22", ((0, 0), (0, 0)), [[40, 10], [10, 40]], "total sample count is zero"),
+            ("SL21", ((0, 0), (0,)), [[40, 10], [10, 40]], "total sample count is zero"),
+            ("SL22", ((0, 0), (50, 50)), [[40, 10], [10, 40]], "finite"),
+            ("SL21", ((0, 0), (200,)), [[40, 10], [10, 40]], "no alternative"),
+            ("SL21", ((50, 50), (0,)), [[40, 10], [10, 40]], "alternative only"),
+        ],
+    )
+    def test_zero_sample_counts(self, task, counts, sub_conf, expect):
+        h = build_task_preset(task)
+        subs = [sub_conf if n > 1 else None for n in h.subclasses_per_class]
+
+        def report():
+            return label_bits_report([[90, 10], [20, 80]], subs, h, counts)
+
+        if expect.startswith(("every", "total")):
+            with pytest.raises(ValueError, match=expect):
+                report()
+            return
+        b = report().breakdown
+        if expect == "finite":
+            assert all(math.isfinite(v) and v >= 0.0 for v in (b.class_bits, b.subclass_bits))
+        elif expect == "no alternative":  # SL21 splits class 0, the alternative
+            assert b.subclass_bits == 0.0
+        else:  # the alternative carries every sample, so its weight is 1
+            assert b.subclass_bits == qsc_capacity(2, estimate_accuracy(sub_conf))
 
     def test_shape_mismatch_rejected(self):
         h = build_task_preset("SL12")

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -320,3 +322,22 @@ class TestCheckpoint:
         p.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))], ids=["deepcopy", "pickle"]
+    )
+    def test_copy_stays_trainable(self, clone):
+        # the copy's weights and biases must view its own params, which the
+        # optimizer updates and forward reads
+        rng = np.random.default_rng(8)
+        net = init_network([3, 6, 2], seed=2)
+        X = rng.standard_normal((5, 3))
+        c = clone(net)
+        assert all(np.shares_memory(a, c.params) for a in c.weights + c.biases)
+        assert not np.shares_memory(c.params, net.params)
+        before = forward(c, X)
+        np.testing.assert_array_equal(before, forward(net, X))
+        _, grads = backward(c, X, CrossEntropyOnLabels(rng.integers(0, 2, size=5)))
+        optimizer_step(c, grads, OptimizerState(learning_rate=0.01))
+        assert not np.array_equal(forward(c, X), before)
+        np.testing.assert_array_equal(forward(net, X), before)
