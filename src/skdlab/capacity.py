@@ -402,8 +402,8 @@ class HierarchyBitsParams:
             raise ValueError("counts must be nonnegative")
         if sum(n for row in counts for n in row) == 0:
             raise ValueError("total sample count is zero")
-        for c, p in enumerate(p_ci):
-            if h.subclasses_per_class[c] > 1 and not 0.0 < p <= 1.0:
+        for c in h.split_classes:
+            if not 0.0 < p_ci[c] <= 1.0:
                 raise ValueError(f"subclass accuracy for class {c} must lie in (0, 1]")
         object.__setattr__(self, "p_ci", p_ci)
         object.__setattr__(self, "counts", counts)
@@ -415,12 +415,9 @@ def hierarchy_bits_bound(params: HierarchyBitsParams) -> BitsBreakdown:
     class_bits = qsc_capacity(h.num_classes, params.p_c)
     total = sum(n for row in params.counts for n in row)
     subclass_bits = 0.0
-    for c in range(h.num_classes):
-        n_c = h.subclasses_per_class[c]
-        if n_c == 1:
-            continue  # a lone subclass carries no extra label information
+    for c in h.split_classes:  # a lone subclass carries no extra label information
         weight = sum(params.counts[c]) / total
-        subclass_bits += weight * qsc_capacity(n_c, params.p_ci[c])
+        subclass_bits += weight * qsc_capacity(h.subclasses_per_class[c], params.p_ci[c])
     return BitsBreakdown(class_bits, subclass_bits)
 
 
@@ -545,56 +542,42 @@ def label_bits_report(
         if len(counts[c]) != n_c:
             raise ValueError("counts shape does not match the hierarchy")
 
-    split_classes = [c for c, n in enumerate(hierarchy.subclasses_per_class) if n > 1]
+    split = hierarchy.split_classes
+    detection = hierarchy.num_classes == 2 and len(split) <= 1
     class_channel = confusion_to_channel(class_conf)
     empirical = {"class_capacity": blahut_arimoto(class_channel)[0]}
-    fitted: dict = {}
+    # fitted before the subclass terms, so a bad class confusion is the error reported
+    p_c = None if detection else estimate_accuracy(class_conf)
+    acc, sub_caps = {}, {}
+    for c in split:
+        acc[c] = estimate_accuracy(sub_confs[c])
+        sub_caps[c] = blahut_arimoto(confusion_to_channel(sub_confs[c]))[0]
+    if sub_caps or not detection:
+        empirical["subclass_capacity"] = sub_caps
 
-    detection = hierarchy.num_classes == 2 and len(split_classes) <= 1
     if detection:
+        alt = split[0] if split else 0
         diag = class_channel.transition.diagonal()
-        if len(split_classes) == 1:
-            alt = split_classes[0]
-            null = 1 - alt
-            n_s = hierarchy.subclasses_per_class[alt]
-            p_s = estimate_accuracy(sub_confs[alt])
-            empirical["subclass_capacity"] = {
-                alt: blahut_arimoto(confusion_to_channel(sub_confs[alt]))[0]
-            }
-        else:
-            alt, null = 0, 1
-            n_s, p_s = 1, 1.0
         params = DetectionParams(
-            p_h0=float(diag[null]),
+            p_h0=float(diag[1 - alt]),
             p_h1=float(diag[alt]),
-            n_s=n_s,
-            p_s=p_s,
-            n_h0=sum(counts[null]),
+            n_s=hierarchy.subclasses_per_class[alt],
+            p_s=acc.get(alt, 1.0),
+            n_h0=sum(counts[1 - alt]),
             n_h1=sum(counts[alt]),
         )
-        fitted.update(
-            {"p_h0": params.p_h0, "p_h1": params.p_h1, "n_s": n_s, "p_s": p_s}
-        )
+        fitted = {"p_h0": params.p_h0, "p_h1": params.p_h1, "n_s": params.n_s, "p_s": params.p_s}
         breakdown = detection_bits_bound(params)
     else:
-        p_c = estimate_accuracy(class_conf)
-        p_ci = []
-        sub_caps = {}
-        for c in range(hierarchy.num_classes):
-            if hierarchy.subclasses_per_class[c] > 1:
-                p_ci.append(estimate_accuracy(sub_confs[c]))
-                sub_caps[c] = blahut_arimoto(confusion_to_channel(sub_confs[c]))[0]
-            else:
-                p_ci.append(1.0)
-        empirical["subclass_capacity"] = sub_caps
+        p_ci = [acc.get(c, 1.0) for c in range(hierarchy.num_classes)]
         params = HierarchyBitsParams(hierarchy, p_c, tuple(p_ci), counts)
-        fitted.update({"p_c": p_c, "p_ci": list(p_ci)})
+        fitted = {"p_c": p_c, "p_ci": p_ci}
         breakdown = hierarchy_bits_bound(params)
 
     return BitsReportRow(
         task=task,
         breakdown=breakdown,
-        has_subclass_column=bool(split_classes),
+        has_subclass_column=bool(split),
         fitted=fitted,
         empirical=empirical,
         counts={"per_class": [sum(row) for row in counts], "per_subclass": [list(r) for r in counts]},

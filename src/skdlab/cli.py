@@ -357,23 +357,26 @@ def cmd_bits(args) -> int:
             raise ConfigError("--from-confusion requires --hierarchy")
         hierarchy = load_hierarchy(Path(args.hierarchy))
         class_conf = _read_matrix(args.from_confusion)
-        split_classes = [c for c, n in enumerate(hierarchy.subclasses_per_class) if n > 1]
-        given = args.subclass_confusion or []
-        if len(given) != len(split_classes):
+        n = hierarchy.num_classes
+        if class_conf.shape != (n, n):
             raise ConfigError(
-                f"need {len(split_classes)} --subclass-confusion file(s) "
+                f"{args.from_confusion}: class confusion must be {n}x{n} for the hierarchy, "
+                f"got {class_conf.shape[0]}x{class_conf.shape[1]}"
+            )
+        split = hierarchy.split_classes
+        given = args.subclass_confusion or []
+        if len(given) != len(split):
+            raise ConfigError(
+                f"need {len(split)} --subclass-confusion file(s) "
                 f"(one per multi-subclass class, in class order), got {len(given)}"
             )
-        sub_confs, counts = [], []
-        it = iter(given)
-        for c in range(hierarchy.num_classes):
-            if hierarchy.subclasses_per_class[c] > 1:
-                m = _read_matrix(next(it))
-                sub_confs.append(m)
-                counts.append(tuple(int(x) for x in m.sum(axis=1)))
-            else:
-                sub_confs.append(None)
-                counts.append((int(class_conf[c].sum()),))
+        sub_confs = [None] * n
+        for c, path in zip(split, given):
+            sub_confs[c] = _read_matrix(path)
+        counts = [
+            (int(class_conf[c].sum()),) if m is None else tuple(int(x) for x in m.sum(axis=1))
+            for c, m in enumerate(sub_confs)
+        ]
         row = label_bits_report(class_conf, sub_confs, hierarchy, counts, task=args.task)
     else:
         required = {

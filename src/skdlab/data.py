@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,9 +144,7 @@ class Dataset:
         S = self.hierarchy.total_subclasses
         if n and (self.subclass_labels.min() < 0 or self.subclass_labels.max() >= S):
             raise ValueError("subclass label out of hierarchy range")
-        expected = np.array(
-            [self.hierarchy.class_of_subclass(j) for j in range(S)], dtype=int
-        )
+        expected = np.array(self.hierarchy.class_of)
         if n and np.any(self.class_labels != expected[self.subclass_labels]):
             raise ValueError("class labels inconsistent with hierarchy")
 
@@ -177,10 +176,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         subs.append(np.full(n, j, dtype=int))
     features = np.vstack(feats)
     subclass_labels = np.concatenate(subs)
-    class_map = np.array(
-        [spec.hierarchy.class_of_subclass(j) for j in range(spec.hierarchy.total_subclasses)]
-    )
-    return Dataset(features, subclass_labels, class_map[subclass_labels], spec.hierarchy)
+    class_labels = np.array(spec.hierarchy.class_of)[subclass_labels]
+    return Dataset(features, subclass_labels, class_labels, spec.hierarchy)
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -226,9 +223,12 @@ def save_hierarchy(hierarchy: LabelHierarchy, path) -> None:
 
 def load_hierarchy(path) -> LabelHierarchy:
     payload = json.loads(Path(path).read_text())
-    if "subclasses_per_class" not in payload:
+    if not isinstance(payload, dict) or "subclasses_per_class" not in payload:
         raise ValueError(f"{path}: missing subclasses_per_class")
-    return LabelHierarchy(tuple(payload["subclasses_per_class"]))
+    spc = payload["subclasses_per_class"]
+    if not isinstance(spc, list) or not all(type(n) is int for n in spc):
+        raise ValueError(f"{path}: subclasses_per_class must be a list of integers")
+    return LabelHierarchy(tuple(spc))
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -265,6 +265,8 @@ def load_dataset(path, hierarchy: LabelHierarchy) -> Dataset:
                 clss.append(int(row[d + 1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, feats[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite feature")
             if not 0 <= subs[-1] < hierarchy.total_subclasses:
                 raise ValueError(f"{path}:{lineno}: subclass index {subs[-1]} out of range")
     if not feats:

@@ -20,10 +20,18 @@ class LabelHierarchy:
         Number of subclasses under each class, in class order.  Every
         class must have at least one subclass; a class with exactly one
         subclass is simply the class itself.
+
+    Attributes
+    ----------
+    class_of : tuple of int
+        The class of each global subclass index: ``class_of[j]`` owns subclass j.
+    split_classes : tuple of int
+        The classes with more than one subclass, in class order.
     """
 
     subclasses_per_class: tuple[int, ...]
     _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spc = tuple(int(n) for n in self.subclasses_per_class)
@@ -36,6 +44,7 @@ class LabelHierarchy:
         for n in spc:
             offsets.append(offsets[-1] + n)
         object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "class_of", tuple(c for c, n in enumerate(spc) for _ in range(n)))
 
     @property
     def num_classes(self) -> int:
@@ -50,6 +59,11 @@ class LabelHierarchy:
         """Cumulative start index of each class's subclass block (len = num_classes + 1)."""
         return self._offsets
 
+    @property
+    def split_classes(self) -> tuple[int, ...]:
+        """Classes with more than one subclass, in class order."""
+        return tuple(c for c, n in enumerate(self.subclasses_per_class) if n > 1)
+
     def class_slice(self, class_index: int) -> slice:
         """Slice of global subclass indices belonging to one class."""
         if not 0 <= class_index < self.num_classes:
@@ -60,14 +74,11 @@ class LabelHierarchy:
         """Class owning a global subclass index."""
         if not 0 <= subclass_index < self.total_subclasses:
             raise IndexError(f"subclass index {subclass_index} out of range")
-        for c in range(self.num_classes):
-            if subclass_index < self._offsets[c + 1]:
-                return c
-        raise AssertionError("unreachable")
+        return self.class_of[subclass_index]
 
     def subclass_to_class(self) -> dict[int, int]:
         """Full global-subclass -> class map."""
-        return {j: self.class_of_subclass(j) for j in range(self.total_subclasses)}
+        return dict(enumerate(self.class_of))
 
 
 # Task presets.  Two classes throughout; class 0 plays the minority

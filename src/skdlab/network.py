@@ -226,8 +226,11 @@ def save_checkpoint(net: DenseNetwork, path, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    for key in ("layer_dims", "weights", "biases"):
+        if not isinstance(payload.get(key), list):
+            raise ValueError(f"{path}: {key} is missing or not a list")
     try:
         net = DenseNetwork(
             tuple(payload["layer_dims"]),

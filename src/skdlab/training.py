@@ -14,7 +14,7 @@ summing each class's subclass probabilities before the argmax.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -191,16 +191,12 @@ class Metrics:
     subclass_confusion: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "class_confusion": self.class_confusion.tolist(),
-            "precision": self.precision.tolist(),
-            "recall": self.recall.tolist(),
-            "f1": self.f1.tolist(),
-            "binary_f1": self.binary_f1,
-            "macro_f1": self.macro_f1,
-        }
-        if self.subclass_confusion is not None:
-            out["subclass_confusion"] = self.subclass_confusion.tolist()
+        """Every field in field order, arrays as lists; a None subclass_confusion is left out."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 
@@ -270,15 +266,10 @@ def per_class_subclass_confusions(
     within-class subclass position.  Single-subclass classes yield None.
     """
     probs = _model_probabilities(model, dataset, hierarchy, "subclass")
-    out: list[Optional[np.ndarray]] = []
-    for c in range(hierarchy.num_classes):
-        n_c = hierarchy.subclasses_per_class[c]
-        if n_c == 1:
-            out.append(None)
-            continue
-        block = hierarchy.class_slice(c)
+    out: list[Optional[np.ndarray]] = [None] * hierarchy.num_classes
+    for c in hierarchy.split_classes:
         mask = dataset.class_labels == c
         true_within = dataset.subclass_labels[mask] - hierarchy.offsets[c]
-        pred_within = np.argmax(probs[mask][:, block], axis=1)
-        out.append(_confusion(true_within, pred_within, n_c))
+        pred_within = np.argmax(probs[mask][:, hierarchy.class_slice(c)], axis=1)
+        out[c] = _confusion(true_within, pred_within, hierarchy.subclasses_per_class[c])
     return out

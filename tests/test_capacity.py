@@ -593,6 +593,32 @@ class TestLabelBitsReport:
         else:  # the alternative carries every sample, so its weight is 1
             assert b.subclass_bits == qsc_capacity(2, estimate_accuracy(sub_conf))
 
+    DETECTION_FITS = ["p_h0", "p_h1", "n_s", "p_s"]
+
+    @pytest.mark.parametrize(
+        "spc, fitted, sub_caps",
+        [
+            ((1, 1), DETECTION_FITS, None),
+            ((2, 1), DETECTION_FITS, [0]),
+            ((1, 2), DETECTION_FITS, [1]),
+            ((2, 2), ["p_c", "p_ci"], [0, 1]),
+            ((1, 1, 1), ["p_c", "p_ci"], []),
+        ],
+        ids=["ClassLevel", "SL21", "SL12", "SL22", "1-1-1"],
+    )
+    def test_each_route_emits_its_keys(self, spc, fitted, sub_caps):
+        # the detection route omits subclass_capacity with no split class; the hierarchy route always has it
+        h = LabelHierarchy(spc)
+        class_conf = 80 * np.eye(h.num_classes) + 10
+        subs = [70 * np.eye(n) + 10 if n > 1 else None for n in spc]
+        row = label_bits_report(class_conf, subs, h, [(50,) * n for n in spc])
+        assert list(row.fitted) == fitted
+        if sub_caps is None:
+            assert list(row.empirical) == ["class_capacity"]
+        else:
+            assert list(row.empirical) == ["class_capacity", "subclass_capacity"]
+            assert list(row.empirical["subclass_capacity"]) == sub_caps
+
     def test_shape_mismatch_rejected(self):
         h = build_task_preset("SL12")
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import skdlab
 from skdlab.capacity import bac_capacity, qsc_capacity
 from skdlab.cli import _experiment_config, _ini_schema, _load_ini, main
 from skdlab.experiment import ExperimentConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_INI = """\
 [data]
@@ -163,6 +166,30 @@ class TestBitsCommand:
         )
         assert code == 2 and "1 --subclass-confusion" in err
 
+    def test_confusion_route_checks_class_confusion_shape(self, capsys, tmp_path):
+        hier = tmp_path / "hierarchy.json"
+        hier.write_text(json.dumps({"subclasses_per_class": [2, 1]}))
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,10\n")
+        sub_csv = tmp_path / "sub.csv"
+        sub_csv.write_text("40,10\n10,40\n")
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(class_csv),
+            "--subclass-confusion", str(sub_csv), "--hierarchy", str(hier),
+        )
+        assert code == 2 and "class.csv: class confusion must be 2x2" in err
+
+    @pytest.mark.parametrize("value", [3, [1.5, 2]])
+    def test_confusion_route_rejects_malformed_hierarchy(self, capsys, tmp_path, value):
+        hier = tmp_path / "hierarchy.json"
+        hier.write_text(json.dumps({"subclasses_per_class": value}))
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,10\n20,80\n")
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
+        )
+        assert code == 2 and "hierarchy.json: subclasses_per_class must be a list of integers" in err
+
     def test_confusion_route_rejects_non_finite_cell(self, capsys, tmp_path):
         hier = tmp_path / "hierarchy.json"
         hier.write_text(json.dumps({"subclasses_per_class": [1, 1]}))
@@ -308,6 +335,19 @@ class TestTrainCommand:
         assert code == 2
         assert "teacher level mismatch" in err and "'subclass'" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_is_an_input_error(self, capsys, tiny_config, data_dir, tmp_path, cell):
+        train_csv = data_dir / "train.csv"
+        lines = train_csv.read_text().splitlines()
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        train_csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "-o", str(tmp_path / "t"),
+        )
+        assert code == 2 and "train.csv:4: non-finite feature" in err
+        assert not (tmp_path / "t").exists()  # rejected before training
+
     def test_missing_data_dir_file(self, capsys, tiny_config, data_dir, tmp_path):
         (data_dir / "test.csv").unlink()
         code, _, err = run(
@@ -367,14 +407,15 @@ class TestEvaluateCommand:
             "--role", "teacher", "-o", str(tdir),
         )
         ckpt = tdir / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        payload["weights"].pop()
-        payload["biases"].pop()
-        ckpt.write_text(json.dumps(payload))
-        code, _, err = run(
-            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
-        )
-        assert code == 2 and "checkpoint.json" in err
+        truncated = json.loads(ckpt.read_text())
+        truncated["weights"].pop()
+        truncated["biases"].pop()
+        for payload in (truncated, {"format": "skdlab-net-v1"}, [1, 2]):
+            ckpt.write_text(json.dumps(payload))
+            code, _, err = run(
+                capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
+            )
+            assert code == 2 and "checkpoint.json" in err, payload
 
     def test_missing_checkpoint(self, capsys, data_dir):
         code, _, err = run(
@@ -492,6 +533,19 @@ class TestConfigKeys:
         })
         assert expected != base
         assert _experiment_config(_load_ini(ini)[0]) == expected
+
+
+def _documented_ini(where):
+    if where == "README":
+        return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    return textwrap.dedent("    [data]" + skdlab.cli.__doc__.split("    [data]", 1)[1])
+
+
+@pytest.mark.parametrize("where", ["cli docstring", "README"])
+def test_documented_defaults_are_the_defaults(tmp_path, where):
+    ini = tmp_path / "documented.ini"
+    ini.write_text(_documented_ini(where))
+    assert _experiment_config(_load_ini(ini)[0]) == ExperimentConfig()
 
 
 def test_import_does_not_load_the_process_pool():

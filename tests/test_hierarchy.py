@@ -24,6 +24,23 @@ class TestLabelHierarchy:
         h = LabelHierarchy((1, 2))
         assert h.subclass_to_class() == {0: 0, 1: 1, 2: 1}
 
+    @pytest.mark.parametrize(
+        "spc, class_of, split",
+        [
+            (TASK_PRESETS["ClassLevel"], (0, 1), ()),
+            (TASK_PRESETS["SL21"], (0, 0, 1), (0,)),
+            (TASK_PRESETS["SL22"], (0, 0, 1, 1), (0, 1)),
+            (TASK_PRESETS["SL12"], (0, 1, 1), (1,)),
+            ((2, 1, 3), (0, 0, 1, 2, 2, 2), (0, 2)),
+        ],
+        ids=["ClassLevel", "SL21", "SL22", "SL12", "2-1-3"],
+    )
+    def test_class_of_and_split_classes(self, spc, class_of, split):
+        h = LabelHierarchy(spc)
+        assert h.class_of == class_of
+        assert h.split_classes == split
+        assert [h.class_of_subclass(j) for j in range(h.total_subclasses)] == list(class_of)
+
     def test_out_of_range_subclass_rejected(self):
         h = LabelHierarchy((2, 2))
         with pytest.raises(IndexError):
