@@ -23,7 +23,7 @@ from skdlab import (
 print("task presets:", {name: h for name, h in sorted(TASK_PRESETS.items())})
 sl22 = build_task_preset("SL22")
 print("SL22 classes:", sl22.num_classes, "subclasses:", sl22.total_subclasses)
-print("subclass -> class map:", sl22.subclass_to_class())
+print("subclass -> class map:", dict(enumerate(sl22.class_of)))
 
 # Difficulty interpolates cluster separation from 6 sigma (trivial) down to
 # 1 sigma (heavily overlapped).
@@ -37,7 +37,7 @@ for d in (0.0, 0.2, 0.8, 1.0):
 difficulty = (0.2, 0.8, 0.2, 0.8)
 centers = auto_centers(sl22, difficulty, feature_dim=2)
 for j, c in enumerate(centers):
-    print(f"subclass {j} (class {sl22.class_of_subclass(j)}): center {c}")
+    print(f"subclass {j} (class {sl22.class_of[j]}): center {c}")
 
 spec = SyntheticSpec(
     hierarchy=sl22,
@@ -47,11 +47,11 @@ spec = SyntheticSpec(
     seed=1000,
 )
 full = generate_synthetic(spec)
-print("\ngenerated", len(full), "samples, per subclass:", full.subclass_counts())
+print("\ngenerated", len(full), "samples, per subclass:", np.bincount(full.subclass_labels))
 
 # Splits are stratified per subclass, so the imbalance carries over exactly.
 train, test = split_dataset(full, train_fraction=0.5, seed=1000)
-print("train:", train.subclass_counts(), "test:", test.subclass_counts())
+print("train:", np.bincount(train.subclass_labels), "test:", np.bincount(test.subclass_labels))
 
 # The per-cluster noise is an isotropic unit Gaussian around each center.
 for j in range(sl22.total_subclasses):

@@ -40,7 +40,7 @@ print(f"train {len(train)} samples, test {len(test)} samples")
 tcfg = teacher_train_config(seed=SEED)
 teacher_class = train_teacher(train, hierarchy, tcfg, label_level="class")
 teacher_sub = train_teacher(train, hierarchy, tcfg, label_level="subclass")
-print(f"teacher parameters: {teacher_sub.network.parameter_count()}")
+print(f"teacher parameters: {teacher_sub.network.params.size}")
 
 # Students share one small config; the distill mode decides the output
 # width, the loss, and whether a teacher joins in. tau softens both sides
@@ -66,7 +66,7 @@ print(f"\n{'variant':26s} {'params':>7s} {'minority F1':>12s} {'macro F1':>9s}")
 for name, (result, level) in runs.items():
     m = evaluate(result.network, test, hierarchy, level)
     print(
-        f"{name:26s} {result.network.parameter_count():7d} "
+        f"{name:26s} {result.network.params.size:7d} "
         f"{m.binary_f1:12.4f} {m.macro_f1:9.4f}"
     )
 

@@ -70,7 +70,6 @@ from .network import (
     forward,
     init_network,
     load_checkpoint,
-    log_softmax_temperature,
     optimizer_step,
     save_checkpoint,
     softmax_temperature,

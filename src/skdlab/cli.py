@@ -73,10 +73,6 @@ from .network import load_checkpoint, save_checkpoint
 from .training import evaluate, train_student, train_teacher
 
 
-class ConfigError(ValueError):
-    """Bad flags, config values, or input files; maps to exit code 2 like any ValueError."""
-
-
 # ---------------------------------------------------------------------------
 # Config parsing.
 
@@ -84,13 +80,13 @@ class ConfigError(ValueError):
 def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config not found: {p}")
+        raise ValueError(f"config not found: {p}")
     text = p.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"{p}: {exc}") from exc
+        raise ValueError(f"{p}: {exc}") from exc
     return parser, text
 
 
@@ -136,20 +132,20 @@ def _experiment_config(parser) -> ExperimentConfig:
     cfg = ExperimentConfig()
     schema = _ini_schema(cfg)
     if parser.defaults():
-        raise ConfigError("[DEFAULT]: unknown section")
+        raise ValueError("[DEFAULT]: unknown section")
     for section in parser.sections():
         if section not in schema:
-            raise ConfigError(f"[{section}]: unknown section (known: {', '.join(schema)})")
+            raise ValueError(f"[{section}]: unknown section (known: {', '.join(schema)})")
         nested, keys = schema[section]
         owner = getattr(cfg, nested) if nested else cfg
         values = {}
         for key, raw in parser.items(section):
             if key not in keys:
-                raise ConfigError(f"[{section}] {key}: unknown key (known: {', '.join(keys)})")
+                raise ValueError(f"[{section}] {key}: unknown key (known: {', '.join(keys)})")
             try:
                 values[key] = _cast(raw, getattr(owner, keys[key]))
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+                raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
         def with_values(chosen):
             fields = {keys[k]: v for k, v in chosen.items()}
@@ -164,14 +160,14 @@ def _experiment_config(parser) -> ExperimentConfig:
                     with_values({key: values[key]})
                 except ValueError:
                     named.append(key)
-            raise ConfigError(f"[{section}] {', '.join(named or values)}: {exc}") from exc
+            raise ValueError(f"[{section}] {', '.join(named or values)}: {exc}") from exc
     return cfg
 
 
 def _read_matrix(path) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"matrix file not found: {p}")
+        raise ValueError(f"matrix file not found: {p}")
     rows = []
     with p.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -180,15 +176,15 @@ def _read_matrix(path) -> np.ndarray:
             try:
                 values = [float(cell) for cell in row]
             except ValueError as exc:
-                raise ConfigError(f"{p}:{lineno}: {exc}") from exc
+                raise ValueError(f"{p}:{lineno}: {exc}") from exc
             if not np.all(np.isfinite(values)):
-                raise ConfigError(f"{p}:{lineno}: non-finite cell")
+                raise ValueError(f"{p}:{lineno}: non-finite cell")
             rows.append(values)
     if not rows:
-        raise ConfigError(f"{p}: no rows")
+        raise ValueError(f"{p}: no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ConfigError(f"{p}: ragged rows")
+        raise ValueError(f"{p}: ragged rows")
     return np.array(rows)
 
 
@@ -218,7 +214,7 @@ def _load_data_dir(data_dir):
     d = Path(data_dir)
     for name in ("hierarchy.json", "train.csv", "test.csv"):
         if not (d / name).is_file():
-            raise ConfigError(f"data directory is missing {d / name}")
+            raise ValueError(f"data directory is missing {d / name}")
     hierarchy = load_hierarchy(d / "hierarchy.json")
     train_set = load_dataset(d / "train.csv", hierarchy)
     test_set = load_dataset(d / "test.csv", hierarchy)
@@ -233,31 +229,31 @@ def cmd_train(args) -> int:
 
     if args.role == "teacher":
         if args.mode is not None or args.teacher is not None:
-            raise ConfigError("--mode and --teacher apply only to --role student")
+            raise ValueError("--mode and --teacher apply only to --role student")
         result = train_teacher(train_set, hierarchy, replace(cfg.teacher, seed=seed), args.labels)
         level, mode = args.labels, None
     else:
         if args.mode is None:
-            raise ConfigError("--role student requires --mode")
+            raise ValueError("--role student requires --mode")
         distill = cfg.distill_config(args.mode)
-        level = "subclass" if distill.subclass_level else "class"
+        level = distill.level
         if distill.uses_teacher:
             if args.teacher is None:
-                raise ConfigError(f"--mode {args.mode} requires --teacher")
+                raise ValueError(f"--mode {args.mode} requires --teacher")
             teacher_path = Path(args.teacher)
             if not teacher_path.is_file():
-                raise ConfigError(f"teacher checkpoint not found: {teacher_path}")
+                raise ValueError(f"teacher checkpoint not found: {teacher_path}")
             teacher, meta = load_checkpoint(teacher_path)
             got = meta.get("label_level")
             if got != level:
-                raise ConfigError(
+                raise ValueError(
                     f"teacher level mismatch: --mode {args.mode} needs a {level}-level "
                     f"teacher, checkpoint is {got!r}"
                 )
         else:
             teacher = None
             if args.teacher is not None:
-                raise ConfigError(f"--mode {args.mode} takes no --teacher")
+                raise ValueError(f"--mode {args.mode} takes no --teacher")
         sc = replace(cfg.student, seed=seed, distill=distill)
         result = train_student(train_set, hierarchy, sc, teacher=teacher)
         mode = args.mode
@@ -290,12 +286,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
+        raise ValueError(f"checkpoint not found: {ckpt_path}")
     net, meta = load_checkpoint(ckpt_path)
     hierarchy, train_set, test_set = _load_data_dir(args.data)
-    level = args.level or meta.get("label_level")
-    if level not in ("class", "subclass"):
-        raise ConfigError("checkpoint has no label_level; pass --level class|subclass")
+    level = meta.get("label_level")
+    if level is None:  # saved without one: the level its output width names
+        subclass_wide = hierarchy.split_classes and net.num_outputs == hierarchy.total_subclasses
+        level = "subclass" if subclass_wide else "class"
     dataset = train_set if args.split == "train" else test_set
     metrics = evaluate(net, dataset, hierarchy, level)
     print(f"binary_f1={metrics.binary_f1:.6f} macro_f1={metrics.macro_f1:.6f}")
@@ -310,7 +307,7 @@ def cmd_experiment(args) -> int:
     parser, cfg_text = _load_ini(args.config)
     cfg = _experiment_config(parser)
     if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     report, timings = run_experiment(cfg, jobs=args.jobs)
     report["config_ini"] = cfg_text
     paths = write_experiment_report(report, args.out, timings)
@@ -331,7 +328,7 @@ def cmd_capacity(args) -> int:
         try:
             n, p = int(n_raw), float(p_raw)
         except ValueError as exc:
-            raise ConfigError(f"--qsc expects an integer and a float: {exc}") from exc
+            raise ValueError(f"--qsc expects an integer and a float: {exc}") from exc
         value = qsc_capacity(n, p)
     elif args.bac is not None:
         value = bac_capacity(args.bac[0], args.bac[1])
@@ -354,19 +351,19 @@ def _print_breakdown(breakdown, has_subclass: bool) -> None:
 def cmd_bits(args) -> int:
     if args.from_confusion is not None:
         if args.hierarchy is None:
-            raise ConfigError("--from-confusion requires --hierarchy")
+            raise ValueError("--from-confusion requires --hierarchy")
         hierarchy = load_hierarchy(Path(args.hierarchy))
         class_conf = _read_matrix(args.from_confusion)
         n = hierarchy.num_classes
         if class_conf.shape != (n, n):
-            raise ConfigError(
+            raise ValueError(
                 f"{args.from_confusion}: class confusion must be {n}x{n} for the hierarchy, "
                 f"got {class_conf.shape[0]}x{class_conf.shape[1]}"
             )
         split = hierarchy.split_classes
         given = args.subclass_confusion or []
         if len(given) != len(split):
-            raise ConfigError(
+            raise ValueError(
                 f"need {len(split)} --subclass-confusion file(s) "
                 f"(one per multi-subclass class, in class order), got {len(given)}"
             )
@@ -389,7 +386,7 @@ def cmd_bits(args) -> int:
         }
         missing = [flag for flag, value in required.items() if value is None]
         if missing:
-            raise ConfigError(f"missing {' '.join(missing)} (or use --from-confusion)")
+            raise ValueError(f"missing {' '.join(missing)} (or use --from-confusion)")
         params = DetectionParams(
             p_h0=args.p_h0, p_h1=args.p_h1, n_s=args.n_s, p_s=args.p_s,
             n_h0=args.n_h0, n_h1=args.n_h1,
@@ -446,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--level", choices=("class", "subclass"),
-                   help="override the checkpoint's label level")
     p.add_argument("-o", "--out", help="also write metrics JSON here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, or bad input values or paths discovered inside the library layer
+        # bad flags, config values, input files, or paths found inside the library layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -155,9 +155,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subclass_counts(self) -> np.ndarray:
-        return np.bincount(self.subclass_labels, minlength=self.hierarchy.total_subclasses)
-
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw the dataset described by a SyntheticSpec.
@@ -222,13 +219,16 @@ def save_hierarchy(hierarchy: LabelHierarchy, path) -> None:
 
 
 def load_hierarchy(path) -> LabelHierarchy:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or "subclasses_per_class" not in payload:
-        raise ValueError(f"{path}: missing subclasses_per_class")
-    spc = payload["subclasses_per_class"]
-    if not isinstance(spc, list) or not all(type(n) is int for n in spc):
-        raise ValueError(f"{path}: subclasses_per_class must be a list of integers")
-    return LabelHierarchy(tuple(spc))
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict) or "subclasses_per_class" not in payload:
+            raise ValueError("missing subclasses_per_class")
+        spc = payload["subclasses_per_class"]
+        if not isinstance(spc, list) or not all(type(n) is int for n in spc):
+            raise ValueError("subclasses_per_class must be a list of integers")
+        return LabelHierarchy(tuple(spc))
+    except ValueError as exc:  # invalid JSON included
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_dataset(ds: Dataset, path) -> None:

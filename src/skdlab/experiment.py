@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .data import SyntheticSpec, generate_synthetic, split_dataset
-from .hierarchy import LabelHierarchy, build_task_preset
+from .hierarchy import build_task_preset
 from .losses import DistillConfig
 from .training import (
     Metrics,
@@ -69,12 +69,10 @@ class ExperimentConfig:
         for mode in ("kd", "skd"):
             self.distill_config(mode)
 
-    def hierarchy(self) -> LabelHierarchy:
-        return build_task_preset(self.task)
-
     def data_spec(self, seed: int) -> SyntheticSpec:
         return SyntheticSpec(
-            self.hierarchy(), self.samples_per_subclass, self.difficulty, self.feature_dim, seed
+            build_task_preset(self.task), self.samples_per_subclass, self.difficulty,
+            self.feature_dim, seed,
         )
 
     def distill_config(self, mode: str) -> DistillConfig:
@@ -116,16 +114,17 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
     teacher_sub = train_teacher(train_set, hierarchy, teacher_cfg, "subclass").network
 
     def student(mode: str, teacher=None):
-        scfg = replace(student_cfg, distill=cfg.distill_config(mode))
-        return train_student(train_set, hierarchy, scfg, teacher=teacher).network
+        distill = cfg.distill_config(mode)
+        scfg = replace(student_cfg, distill=distill)
+        return train_student(train_set, hierarchy, scfg, teacher=teacher).network, distill.level
 
     nets = {
         "teacher_class": (teacher_class, "class"),
         "teacher_subclass": (teacher_sub, "subclass"),
-        "student_baseline": (student("baseline"), "class"),
-        "student_subclass": (student("subclass"), "subclass"),
-        "student_kd": (student("kd", teacher_class), "class"),
-        "student_skd": (student("skd", teacher_sub), "subclass"),
+        "student_baseline": student("baseline"),
+        "student_subclass": student("subclass"),
+        "student_kd": student("kd", teacher_class),
+        "student_skd": student("skd", teacher_sub),
     }
     return {
         name: evaluate(net, test_set, hierarchy, level) for name, (net, level) in nets.items()
@@ -161,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
         # imported here: the pool module costs every process start that never uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             raw = list(pool.map(_seed_worker, tasks))
     raw.sort(key=lambda item: item[0])  # deterministic merge regardless of pool order
 

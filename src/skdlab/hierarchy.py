@@ -23,6 +23,10 @@ class LabelHierarchy:
 
     Attributes
     ----------
+    offsets : tuple of int
+        Start of each class's block of global subclass indices, then the
+        total: ``offsets[c]:offsets[c + 1]`` are class c's subclasses
+        (len = num_classes + 1).
     class_of : tuple of int
         The class of each global subclass index: ``class_of[j]`` owns subclass j.
     split_classes : tuple of int
@@ -30,7 +34,7 @@ class LabelHierarchy:
     """
 
     subclasses_per_class: tuple[int, ...]
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -43,7 +47,7 @@ class LabelHierarchy:
         offsets = [0]
         for n in spc:
             offsets.append(offsets[-1] + n)
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "class_of", tuple(c for c, n in enumerate(spc) for _ in range(n)))
 
     @property
@@ -52,12 +56,7 @@ class LabelHierarchy:
 
     @property
     def total_subclasses(self) -> int:
-        return self._offsets[-1]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """Cumulative start index of each class's subclass block (len = num_classes + 1)."""
-        return self._offsets
+        return self.offsets[-1]
 
     @property
     def split_classes(self) -> tuple[int, ...]:
@@ -68,17 +67,7 @@ class LabelHierarchy:
         """Slice of global subclass indices belonging to one class."""
         if not 0 <= class_index < self.num_classes:
             raise IndexError(f"class index {class_index} out of range")
-        return slice(self._offsets[class_index], self._offsets[class_index + 1])
-
-    def class_of_subclass(self, subclass_index: int) -> int:
-        """Class owning a global subclass index."""
-        if not 0 <= subclass_index < self.total_subclasses:
-            raise IndexError(f"subclass index {subclass_index} out of range")
-        return self.class_of[subclass_index]
-
-    def subclass_to_class(self) -> dict[int, int]:
-        """Full global-subclass -> class map."""
-        return dict(enumerate(self.class_of))
+        return slice(self.offsets[class_index], self.offsets[class_index + 1])
 
 
 # Task presets.  Two classes throughout; class 0 plays the minority

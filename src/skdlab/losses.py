@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .hierarchy import LabelHierarchy
-from .network import log_softmax_temperature, softmax_and_log_softmax, softmax_temperature
+from .network import softmax_and_log_softmax, softmax_temperature
 
 PROB_FLOOR = 1e-300
 
@@ -54,9 +54,9 @@ class DistillConfig:
         return self.mode in ("kd", "skd")
 
     @property
-    def subclass_level(self) -> bool:
-        """Whether the student emits subclass logits (vs class logits)."""
-        return self.mode in ("subclass", "skd")
+    def level(self) -> str:
+        """The label level of the student's logits and CE targets: "subclass" or "class"."""
+        return "subclass" if self.mode in ("subclass", "skd") else "class"
 
 
 def cross_entropy(probabilities, one_hot_target) -> float:
@@ -101,7 +101,7 @@ def skd_loss(teacher_logits, student_logits, tau: float) -> float:
     """Batch-mean KL between softened teacher and student subclass outputs."""
     t, s = _batch_logits("skd_loss", teacher_logits, student_logits)
     pt, log_pt = softmax_and_log_softmax(t, tau)
-    log_ps = log_softmax_temperature(s, tau)
+    log_ps = softmax_and_log_softmax(s, tau)[1]
     per_sample = np.sum(pt * (log_pt - log_ps), axis=1)
     return float(np.mean(per_sample))
 

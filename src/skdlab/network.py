@@ -62,13 +62,6 @@ class DenseNetwork:
     def num_outputs(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def num_inputs(self) -> int:
-        return self.layer_dims[0]
-
-    def parameter_count(self) -> int:
-        return self.params.size
-
 
 @dataclass
 class GradientSet:
@@ -103,8 +96,8 @@ def _forward_pass(net: DenseNetwork, features) -> tuple[list[np.ndarray], np.nda
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be a 2-D batch, got {x.ndim} dimension(s)")
-    if x.shape[1] != net.num_inputs:
-        raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.num_inputs}")
+    if x.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.layer_dims[0]}")
     activations = [x]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         activations.append(np.maximum(activations[-1] @ w + b, 0.0))
@@ -133,10 +126,6 @@ def softmax_and_log_softmax(logits, tau: float = 1.0) -> tuple[np.ndarray, np.nd
 def softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax with max-subtraction; tau=1 is the plain softmax."""
     return softmax_and_log_softmax(logits, tau)[0]
-
-
-def log_softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
-    return softmax_and_log_softmax(logits, tau)[1]
 
 
 def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet]:
@@ -225,19 +214,19 @@ def save_checkpoint(net: DenseNetwork, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    for key in ("layer_dims", "weights", "biases"):
-        if not isinstance(payload.get(key), list):
-            raise ValueError(f"{path}: {key} is missing or not a list")
     try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
+        for key in ("layer_dims", "weights", "biases"):
+            if not isinstance(payload.get(key), list):
+                raise ValueError(f"{key} is missing or not a list")
         net = DenseNetwork(
             tuple(payload["layer_dims"]),
             [np.array(w, dtype=float) for w in payload["weights"]],
             [np.array(b, dtype=float) for b in payload["biases"]],
         )
-    except ValueError as exc:
+    except ValueError as exc:  # invalid JSON included
         raise ValueError(f"{path}: {exc}") from exc
     meta = {k: v for k, v in payload.items()
             if k not in {"format", "layer_dims", "weights", "biases"}}

@@ -52,7 +52,7 @@ class TrainConfig:
     weight_decay: float = OptimizerState.weight_decay
     lr_decay: float = OptimizerState.lr_decay
     seed: int = 0
-    distill: Optional[DistillConfig] = None
+    distill: DistillConfig = DistillConfig()
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -149,9 +149,8 @@ def train_student(
     teacher: Optional[DenseNetwork] = None,
 ) -> TrainResult:
     """Train a student under cfg.distill's mode; teacher stays frozen."""
-    distill = cfg.distill or DistillConfig()
-    level = "subclass" if distill.subclass_level else "class"
-    width, labels = _level_targets(train_set, hierarchy, level)
+    distill = cfg.distill
+    width, labels = _level_targets(train_set, hierarchy, distill.level)
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
@@ -160,7 +159,7 @@ def train_student(
         raise ValueError(f"mode {distill.mode!r} requires a teacher")
     if teacher.num_outputs != width:
         raise ValueError(
-            f"teacher level mismatch: mode {distill.mode!r} needs a {level}-level "
+            f"teacher level mismatch: mode {distill.mode!r} needs a {distill.level}-level "
             f"teacher with {width} outputs, got {teacher.num_outputs}"
         )
     # teacher is frozen: its logits and softened targets are computed once, up front

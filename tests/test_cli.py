@@ -12,6 +12,7 @@ import skdlab
 from skdlab.capacity import bac_capacity, qsc_capacity
 from skdlab.cli import _experiment_config, _ini_schema, _load_ini, main
 from skdlab.experiment import ExperimentConfig
+from skdlab.network import init_network, save_checkpoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -189,6 +190,19 @@ class TestBitsCommand:
             capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
         )
         assert code == 2 and "hierarchy.json: subclasses_per_class must be a list of integers" in err
+
+    @pytest.mark.parametrize(
+        "text", ["{bad", '{"subclasses_per_class": [0, 2]}', '{"subclasses_per_class": []}']
+    )
+    def test_bad_hierarchy_file_is_named(self, capsys, tmp_path, text):
+        hier = tmp_path / "hierarchy.json"
+        hier.write_text(text)
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,10\n20,80\n")
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
+        )
+        assert code == 2 and err.startswith(f"error: {hier}: "), err
 
     def test_confusion_route_rejects_non_finite_cell(self, capsys, tmp_path):
         hier = tmp_path / "hierarchy.json"
@@ -388,17 +402,56 @@ class TestEvaluateCommand:
         )
         assert code == 0 and stdout.startswith("binary_f1=")
 
-    def test_level_override_width_mismatch(self, capsys, tiny_config, data_dir, tmp_path):
+    def test_label_level_contradicting_width(self, capsys, tiny_config, data_dir, tmp_path):
         tdir = tmp_path / "teacher"
         run(
             capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
             "--role", "teacher", "--labels", "subclass", "-o", str(tdir),
         )
+        ckpt = tdir / "checkpoint.json"
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "label_level": "class"}))
         code, _, err = run(
-            capsys, "evaluate", "--checkpoint", str(tdir / "checkpoint.json"),
-            "--data", str(data_dir), "--level", "class",
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
         )
         assert code == 2 and "width" in err
+
+    @pytest.mark.parametrize("labels", ["class", "subclass"])
+    def test_checkpoint_without_level_is_read_at_its_width(
+        self, capsys, tiny_config, data_dir, tmp_path, labels
+    ):
+        tdir = tmp_path / "teacher"
+        run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "--labels", labels, "-o", str(tdir),
+        )
+        ckpt = tdir / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        del payload["label_level"]
+        ckpt.write_text(json.dumps(payload))
+        out_json = tmp_path / "eval.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir),
+            "-o", str(out_json),
+        )
+        assert code == 0
+        result = json.loads(out_json.read_text())
+        assert result["label_level"] == labels
+        assert result["metrics"] == json.loads((tdir / "metrics.json").read_text())["metrics"]
+
+    def test_checkpoint_without_level_on_a_class_level_tree(self, capsys, tmp_path):
+        ini = tmp_path / "classlevel.ini"
+        ini.write_text("[data]\ntask = ClassLevel\nsamples_per_subclass = 12,26\ndifficulty = 0.2,0.8\n")
+        assert main(["generate", "-c", str(ini), "-o", str(tmp_path / "data")]) == 0
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_network((2, 3, 2), seed=0), ckpt)
+        out_json = tmp_path / "eval.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data"),
+            "-o", str(out_json),
+        )
+        assert code == 0
+        result = json.loads(out_json.read_text())
+        assert result["label_level"] == "class" and "subclass_confusion" not in result["metrics"]
 
     def test_truncated_checkpoint_is_an_input_error(self, capsys, tiny_config, data_dir, tmp_path):
         tdir = tmp_path / "teacher"
@@ -410,12 +463,13 @@ class TestEvaluateCommand:
         truncated = json.loads(ckpt.read_text())
         truncated["weights"].pop()
         truncated["biases"].pop()
-        for payload in (truncated, {"format": "skdlab-net-v1"}, [1, 2]):
-            ckpt.write_text(json.dumps(payload))
+        payloads = [json.dumps(p) for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2])]
+        for text in (*payloads, "{bad"):
+            ckpt.write_text(text)
             code, _, err = run(
                 capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
             )
-            assert code == 2 and "checkpoint.json" in err, payload
+            assert code == 2 and "checkpoint.json" in err, text
 
     def test_missing_checkpoint(self, capsys, data_dir):
         code, _, err = run(
@@ -479,6 +533,35 @@ class TestExperimentCommand:
             "--jobs", "0",
         )
         assert code == 2 and "--jobs" in err
+
+    def test_failed_seed_is_reported(self, capsys, tmp_path, monkeypatch):
+        import skdlab.experiment
+
+        real = skdlab.experiment.run_single_seed
+
+        def flaky(cfg, seed):
+            if seed == 78:
+                raise FloatingPointError("synthetic failure")
+            return real(cfg, seed)
+
+        monkeypatch.setattr(skdlab.experiment, "run_single_seed", flaky)
+        ini = tmp_path / "three.ini"
+        ini.write_text(TINY_INI.replace("n_seeds = 2", "n_seeds = 3"))
+        code, _, err = run(capsys, "experiment", "-c", str(ini), "-o", str(tmp_path / "x"))
+        assert code == 0 and "1 seed(s) failed; see report.json" in err
+        report = json.loads((tmp_path / "x" / "report.json").read_text())
+        assert [e["seed"] for e in report["per_seed"]] == [77, 79]
+        assert report["failures"] == [{"seed": 78, "error": "FloatingPointError: synthetic failure"}]
+
+    def test_every_seed_failing_is_a_runtime_error(self, capsys, tiny_config, tmp_path, monkeypatch):
+        import skdlab.experiment
+
+        def broken(cfg, seed):
+            raise FloatingPointError("synthetic failure")
+
+        monkeypatch.setattr(skdlab.experiment, "run_single_seed", broken)
+        code, _, err = run(capsys, "experiment", "-c", str(tiny_config), "-o", str(tmp_path / "x"))
+        assert code == 1 and "fewer than two seeds completed" in err
 
 
 TRAIN_KEYS = [

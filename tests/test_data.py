@@ -41,11 +41,11 @@ class TestAutoCenters:
         diffs = (0.2, 0.8, 0.2, 0.8)
         C = auto_centers(SL22, diffs, 2)
         for j in range(4):
-            cls = SL22.class_of_subclass(j)
+            cls = SL22.class_of[j]
             rival = min(
                 np.linalg.norm(C[j] - C[k])
                 for k in range(4)
-                if SL22.class_of_subclass(k) != cls
+                if SL22.class_of[k] != cls
             )
             assert rival == pytest.approx(separation(diffs[j]), abs=1e-12)
 
@@ -94,7 +94,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(SL22, (5, 6, 7, 8), 0.5, 2, seed=3)
         ds = generate_synthetic(spec)
         assert len(ds) == 26
-        np.testing.assert_array_equal(ds.subclass_counts(), [5, 6, 7, 8])
+        np.testing.assert_array_equal(np.bincount(ds.subclass_labels), [5, 6, 7, 8])
         np.testing.assert_array_equal(np.bincount(ds.class_labels), [11, 15])
         # class-major layout: subclass labels appear in blocks
         np.testing.assert_array_equal(
@@ -130,8 +130,8 @@ class TestSplitDataset:
     def test_stratified_counts(self):
         ds = generate_synthetic(SyntheticSpec(SL22, (10, 10, 20, 20), 0.5, 2, seed=1))
         train, test = split_dataset(ds, 0.5, seed=1)
-        np.testing.assert_array_equal(train.subclass_counts(), [5, 5, 10, 10])
-        np.testing.assert_array_equal(test.subclass_counts(), [5, 5, 10, 10])
+        np.testing.assert_array_equal(np.bincount(train.subclass_labels), [5, 5, 10, 10])
+        np.testing.assert_array_equal(np.bincount(test.subclass_labels), [5, 5, 10, 10])
 
     def test_disjoint_union(self):
         ds = generate_synthetic(SyntheticSpec(SL22, (9, 9, 9, 9), 0.5, 2, seed=2))
@@ -147,8 +147,8 @@ class TestSplitDataset:
         ds = generate_synthetic(SyntheticSpec(SL22, (2, 2, 2, 2), 0.5, 2, seed=4))
         for frac in (0.01, 0.99):
             train, test = split_dataset(ds, frac, seed=4)
-            assert train.subclass_counts().min() >= 1
-            assert test.subclass_counts().min() >= 1
+            assert np.bincount(train.subclass_labels, minlength=4).min() >= 1
+            assert np.bincount(test.subclass_labels, minlength=4).min() >= 1
 
     def test_single_sample_subclass_rejected(self):
         ds = generate_synthetic(SyntheticSpec(SL22, (1, 2, 2, 2), 0.5, 2, seed=4))

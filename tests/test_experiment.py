@@ -120,6 +120,32 @@ class TestRunExperiment:
         # summary covers the two surviving seeds
         assert len(report["summary"]["student_skd"]["binary_f1"]["values"]) == 2
 
+    def test_pool_is_no_larger_than_the_seed_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = tiny_config(
+            n_seeds=2, teacher=teacher_train_config(epochs=1), student=student_train_config(epochs=1)
+        )
+        report, _ = run_experiment(cfg, jobs=64)
+        assert sizes == [2]
+        assert [e["seed"] for e in report["per_seed"]] == [5, 6]
+
     def test_too_many_failures_raise(self, monkeypatch):
         def broken(cfg, seed):
             raise FloatingPointError("no data")

@@ -13,16 +13,11 @@ class TestLabelHierarchy:
 
     def test_class_of_subclass_covers_every_index(self):
         h = LabelHierarchy((2, 3, 1))
-        owners = [h.class_of_subclass(j) for j in range(h.total_subclasses)]
-        assert owners == [0, 0, 1, 1, 1, 2]
+        assert list(h.class_of) == [0, 0, 1, 1, 1, 2]
         # partition check: each class's slice has exactly its declared width
         for c in range(h.num_classes):
             s = h.class_slice(c)
             assert s.stop - s.start == h.subclasses_per_class[c]
-
-    def test_subclass_to_class_map_matches(self):
-        h = LabelHierarchy((1, 2))
-        assert h.subclass_to_class() == {0: 0, 1: 1, 2: 1}
 
     @pytest.mark.parametrize(
         "spc, class_of, split",
@@ -39,14 +34,6 @@ class TestLabelHierarchy:
         h = LabelHierarchy(spc)
         assert h.class_of == class_of
         assert h.split_classes == split
-        assert [h.class_of_subclass(j) for j in range(h.total_subclasses)] == list(class_of)
-
-    def test_out_of_range_subclass_rejected(self):
-        h = LabelHierarchy((2, 2))
-        with pytest.raises(IndexError):
-            h.class_of_subclass(4)
-        with pytest.raises(IndexError):
-            h.class_of_subclass(-1)
 
     @pytest.mark.parametrize("bad", [(), (0, 2), (2, -1)])
     def test_invalid_shapes_rejected(self, bad):

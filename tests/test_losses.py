@@ -173,14 +173,14 @@ class TestDistillConfig:
     def test_mode_truth_table(self):
         assert STUDENT_MODES == ("baseline", "subclass", "kd", "skd")
         flags = {
-            m: (DistillConfig(m).uses_teacher, DistillConfig(m).subclass_level)
+            m: (DistillConfig(m).uses_teacher, DistillConfig(m).level)
             for m in STUDENT_MODES
         }
         assert flags == {
-            "baseline": (False, False),
-            "subclass": (False, True),
-            "kd": (True, False),
-            "skd": (True, True),
+            "baseline": (False, "class"),
+            "subclass": (False, "subclass"),
+            "kd": (True, "class"),
+            "skd": (True, "subclass"),
         }
 
     def test_validation(self):

@@ -18,9 +18,9 @@ from skdlab.network import (
     forward,
     init_network,
     load_checkpoint,
-    log_softmax_temperature,
     optimizer_step,
     save_checkpoint,
+    softmax_and_log_softmax,
     softmax_temperature,
 )
 
@@ -28,7 +28,7 @@ from skdlab.network import (
 class TestInitNetwork:
     def test_parameter_count(self):
         net = init_network([2, 4, 3], seed=1)
-        assert net.parameter_count() == 2 * 4 + 4 + 4 * 3 + 3  # 27
+        assert net.params.size == 2 * 4 + 4 + 4 * 3 + 3  # 27
 
     def test_fan_in_bounds_and_zero_biases(self):
         net = init_network([10, 50, 3], seed=7)
@@ -110,7 +110,7 @@ class TestSoftmax:
     def test_log_softmax_consistency(self):
         z = np.random.default_rng(4).standard_normal((9, 5)) * 30
         np.testing.assert_allclose(
-            np.exp(log_softmax_temperature(z, 5.0)),
+            np.exp(softmax_and_log_softmax(z, 5.0)[1]),
             softmax_temperature(z, 5.0),
             rtol=1e-13,
         )

@@ -71,6 +71,10 @@ class TestTrainConfig:
         s = student_train_config(seed=2)
         assert s.hidden_layers == (8,) and s.epochs == 30
 
+    def test_default_distill_is_the_baseline_mode(self):
+        assert TrainConfig().distill == DistillConfig()
+        assert TrainConfig().distill.level == "class"
+
 
 class TestTrainTeacher:
     def test_level_selects_output_width(self):
@@ -197,7 +201,7 @@ class TestSeparability:
             [train.features[train.subclass_labels == j].mean(axis=0) for j in range(4)]
         )
         d = np.linalg.norm(train.features[:, None, :] - centroids[None], axis=2)
-        to_class = np.array([SL22.class_of_subclass(j) for j in range(4)])
+        to_class = np.array(SL22.class_of)
         centroid_acc = np.mean(to_class[np.argmin(d, axis=1)] == train.class_labels)
         assert centroid_acc >= 0.99
 
