@@ -288,8 +288,10 @@ def cmd_evaluate(args) -> int:
     if not ckpt_path.is_file():
         raise ValueError(f"checkpoint not found: {ckpt_path}")
     net, meta = load_checkpoint(ckpt_path)
-    hierarchy, train_set, test_set = _load_data_dir(args.data)
     level = meta.get("label_level")
+    if level not in (None, "class", "subclass"):
+        raise ValueError(f"{ckpt_path}: label_level must be 'class' or 'subclass', got {level!r}")
+    hierarchy, train_set, test_set = _load_data_dir(args.data)
     if level is None:  # saved without one: the level its output width names
         subclass_wide = hierarchy.split_classes and net.num_outputs == hierarchy.total_subclasses
         level = "subclass" if subclass_wide else "class"

@@ -20,8 +20,8 @@ distillation and plain baseline training it targets class labels.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import InitVar, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -140,34 +140,69 @@ def aggregate_class_probabilities(subclass_probs, hierarchy: LabelHierarchy) -> 
 #   d(mean distill)/dz = (softmax(z/tau) - softmax(t/tau)) / (n * tau)
 
 
-def _cross_entropy_and_grad(z, labels):
+def _as_batch(logits) -> np.ndarray:
+    """np.atleast_2d(logits), without the call for logits that already are a 2-D array."""
+    return logits if isinstance(logits, np.ndarray) and logits.ndim == 2 else np.atleast_2d(logits)
+
+
+def _one_hot_table(labels, width: int) -> np.ndarray:
+    """The (n, width) one-hot table of integer labels, each checked to lie in [0, width)."""
     y = np.asarray(labels, dtype=int).ravel()
     if y.size == 0:
         raise ValueError("empty label batch")
-    if y.min() < 0 or y.max() >= z.shape[1]:
-        raise ValueError(f"label out of range for width {z.shape[1]}")
-    if y.size != z.shape[0]:
+    if y.min() < 0 or y.max() >= width:
+        raise ValueError(f"label out of range for width {width}")
+    hot = np.zeros((y.size, width))
+    hot[np.arange(y.size), y] = 1.0
+    return hot
+
+
+def _cross_entropy_and_grad(z, hot):
+    """Mean CE of softmax(z) against the one-hot rows hot, and its gradient."""
+    if hot.shape[0] != z.shape[0]:
         raise ValueError("labels do not match batch size")
-    n = y.size
-    hot = np.zeros((n, z.shape[1]))
-    hot[np.arange(n), y] = 1.0
-    p, log_p = softmax_and_log_softmax(z, 1.0)
-    loss = -(hot * log_p).sum() / n
-    return float(loss), (p - hot) / n
+    if hot.shape[1] != z.shape[1]:
+        raise ValueError(f"label width {hot.shape[1]} does not match logit width {z.shape[1]}")
+    n = z.shape[0]
+    p, log_p = softmax_and_log_softmax(z)
+    log_p *= hot
+    loss = -np.add.reduce(log_p, axis=None) / n
+    p -= hot
+    p /= n
+    return float(loss), p
 
 
 @dataclass
 class CrossEntropyOnLabels:
-    """Mean cross entropy of softmax(logits) against integer labels."""
+    """Mean cross entropy of softmax(logits) against integer labels.
+
+    Given the logit width, the labels are checked and one-hot encoded once,
+    here, and rows() slices that table; without it, each call encodes them
+    at the width of the logits it gets.
+    """
 
     labels: np.ndarray
+    width: InitVar[Optional[int]] = None
+    _one_hot: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self, width):
+        self.labels = np.asarray(self.labels)
+        if width is not None:
+            self._one_hot = _one_hot_table(self.labels, width)
 
     def rows(self, index) -> "CrossEntropyOnLabels":
         """The same loss on a subset of samples (an index array or a slice)."""
-        return CrossEntropyOnLabels(np.asarray(self.labels)[index])
+        sub = object.__new__(CrossEntropyOnLabels)
+        sub.labels = self.labels[index]
+        sub._one_hot = None if self._one_hot is None else self._one_hot[index]
+        return sub
 
     def loss_and_logit_grad(self, logits):
-        return _cross_entropy_and_grad(np.atleast_2d(logits), self.labels)
+        z = _as_batch(logits)
+        hot = self._one_hot
+        if hot is None:
+            hot = _one_hot_table(self.labels, z.shape[1])
+        return _cross_entropy_and_grad(z, hot)
 
 
 @dataclass
@@ -193,13 +228,15 @@ class CombinedObjective:
     """lam * CE(labels) + (1 - lam) * softened KL(teacher).
 
     The frozen teacher's logits are only read at construction, to compute its
-    softened targets once; rows() slices those targets.
+    softened targets once; the labels' one-hot table is built then too, at
+    the teacher's width.  rows() slices those tables.
     """
 
     labels: np.ndarray
     teacher_logits: InitVar[np.ndarray]
     tau: float
     lam: float
+    _one_hot: np.ndarray = field(init=False, repr=False)
     _teacher_probs: np.ndarray = field(init=False, repr=False)
     _teacher_log_probs: np.ndarray = field(init=False, repr=False)
 
@@ -210,26 +247,37 @@ class CombinedObjective:
         self._teacher_probs, self._teacher_log_probs = softmax_and_log_softmax(
             np.atleast_2d(teacher_logits), self.tau
         )
+        self._one_hot = _one_hot_table(self.labels, self._teacher_probs.shape[1])
+        if len(self._one_hot) != len(self._teacher_probs):
+            raise ValueError("labels and teacher logits differ in sample count")
 
     def rows(self, index) -> "CombinedObjective":
         """The same objective on a subset of samples (an index array or a slice)."""
-        sub = copy.copy(self)
+        sub = object.__new__(CombinedObjective)
         sub.labels = self.labels[index]
+        sub.tau, sub.lam = self.tau, self.lam
+        sub._one_hot = self._one_hot[index]
         sub._teacher_probs = self._teacher_probs[index]
         sub._teacher_log_probs = self._teacher_log_probs[index]
         return sub
 
     def loss_and_logit_grad(self, logits):
-        z = np.atleast_2d(logits)
-        ce_loss, ce_grad = _cross_entropy_and_grad(z, self.labels)
+        z = _as_batch(logits)
         pt = self._teacher_probs
         if pt.shape != z.shape:
             raise ValueError(f"teacher logits {pt.shape} do not match student {z.shape}")
-        # the expressions of skd_loss and DistillAgainstTeacher, teacher terms precomputed
+        ce_loss, grad = _cross_entropy_and_grad(z, self._one_hot)
+        # the expressions of skd_loss and DistillAgainstTeacher, teacher terms precomputed,
+        # evaluated in place with the same operands and order
         n = z.shape[0]
         p, log_p = softmax_and_log_softmax(z, self.tau)
-        kd_loss = float((pt * (self._teacher_log_probs - log_p)).sum(axis=1).mean())
-        kd_grad = (p - pt) / (n * self.tau)
+        np.subtract(self._teacher_log_probs, log_p, out=log_p)
+        log_p *= pt
+        kd_loss = float(np.add.reduce(np.add.reduce(log_p, axis=1)) / n)
+        p -= pt
+        p /= n * self.tau
         loss = self.lam * ce_loss + (1.0 - self.lam) * kd_loss
-        grad = self.lam * ce_grad + (1.0 - self.lam) * kd_grad
+        grad *= self.lam
+        p *= 1.0 - self.lam
+        grad += p
         return float(loss), grad

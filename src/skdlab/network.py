@@ -100,8 +100,12 @@ def _forward_pass(net: DenseNetwork, features) -> tuple[list[np.ndarray], np.nda
         raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.layer_dims[0]}")
     activations = [x]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
-    return activations, activations[-1] @ net.weights[-1] + net.biases[-1]
+        h = activations[-1] @ w
+        h += b
+        activations.append(np.maximum(h, 0.0, out=h))
+    logits = activations[-1] @ net.weights[-1]
+    logits += net.biases[-1]
+    return activations, logits
 
 
 def forward(net: DenseNetwork, features) -> np.ndarray:
@@ -114,13 +118,17 @@ def forward(net: DenseNetwork, features) -> np.ndarray:
 
 def softmax_and_log_softmax(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Temperature softmax and log-softmax from one max-subtraction, exp and sum pass."""
-    if tau <= 0:
+    if not tau > 0:  # NaN fails this too
         raise ValueError("tau must be positive")
-    z = np.asarray(logits, dtype=float) / tau
-    z = z - z.max(axis=-1, keepdims=True)
+    z = np.asarray(logits, dtype=float)
+    if tau != 1:  # dividing by 1 is exact, so it is skipped
+        z = z / tau
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    return e / total, z - np.log(total)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    e /= total
+    z -= np.log(total)
+    return e, z
 
 
 def softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
@@ -128,13 +136,20 @@ def softmax_temperature(logits, tau: float = 1.0) -> np.ndarray:
     return softmax_and_log_softmax(logits, tau)[0]
 
 
-def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet]:
+def backward(
+    net: DenseNetwork, features, loss_spec, out: Optional[GradientSet] = None
+) -> tuple[float, GradientSet]:
     """Batch-mean loss and its exact analytic gradients.
 
     loss_spec supplies the output-layer story: it must expose
     loss_and_logit_grad(logits) -> (scalar loss, dL/dlogits).  The chain
     rule back through the ReLU stack is handled here.  A ReLU output is
     positive exactly where its input is, so the activations double as masks.
+
+    The gradients are written into out, a GradientSet an earlier call
+    returned for this network, and out is returned; without it they go into
+    a fresh GradientSet.  A training loop passes its last result back in, so
+    it allocates one gradient buffer per run.
     """
     activations, logits = _forward_pass(net, features)
     if len(logits) == 0:
@@ -143,15 +158,17 @@ def backward(net: DenseNetwork, features, loss_spec) -> tuple[float, GradientSet
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
-    flat = np.empty_like(net.params)
-    d_weights, d_biases = net._views(flat)
+    if out is None:
+        flat = np.empty_like(net.params)
+        out = GradientSet(flat, *net._views(flat))
     delta = d_logits
     for li in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[li].T, delta, out=d_weights[li])
-        delta.sum(axis=0, out=d_biases[li])
+        np.matmul(activations[li].T, delta, out=out.d_weights[li])
+        np.add.reduce(delta, axis=0, out=out.d_biases[li])
         if li > 0:
-            delta = (delta @ net.weights[li].T) * (activations[li] > 0)
-    return float(loss), GradientSet(flat, d_weights, d_biases)
+            delta = delta @ net.weights[li].T
+            delta *= activations[li] > 0
+    return float(loss), out
 
 
 @dataclass
@@ -159,9 +176,10 @@ class OptimizerState:
     """Adaptive-moment optimizer with bias correction and decoupled weight decay.
 
     The moments m and v (decay rates BETA1, BETA2) are flat vectors in the
-    layout of DenseNetwork.params, allocated at the first step.  The learning
-    rate is multiplied by lr_decay at each epoch boundary (call end_epoch
-    once per epoch).
+    layout of DenseNetwork.params, allocated at the first step together with
+    the two work vectors the update is computed in.  The learning rate is
+    multiplied by lr_decay at each epoch boundary (call end_epoch once per
+    epoch).
     """
 
     learning_rate: float = 1e-3
@@ -170,28 +188,51 @@ class OptimizerState:
     step: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
+    _work: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def end_epoch(self) -> None:
         self.learning_rate *= self.lr_decay
 
 
 def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState) -> None:
-    """One in-place parameter update over the network's flat parameter vector."""
+    """One in-place Adam update of the network's flat parameter vector.
+
+    state.m and state.v are updated in place, and grads is only read.  Each
+    operation has the operands and order of the textbook expressions
+        m = BETA1*m + (1-BETA1)*g;  v = BETA2*v + (1-BETA2)*g**2
+        params -= lr*m_hat / (sqrt(v_hat) + EPS) + (lr*wd)*params
+    so the result equals theirs to the last bit.
+    """
     g = grads.flat
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient")
     params = net.params
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+    if state._work is None:
+        state._work = (np.empty_like(params), np.empty_like(params))
     state.step += 1
     t = state.step
     lr, wd = state.learning_rate, state.weight_decay
-    state.m = BETA1 * state.m + (1 - BETA1) * g
-    state.v = BETA2 * state.v + (1 - BETA2) * g ** 2
-    m_hat = state.m / (1 - BETA1 ** t)
-    v_hat = state.v / (1 - BETA2 ** t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + EPS) + lr * wd * params
+    m, v = state.m, state.v
+    update, denom = state._work
+    m *= BETA1
+    m += np.multiply(g, 1 - BETA1, out=update)
+    v *= BETA2
+    np.square(g, out=update)
+    update *= 1 - BETA2
+    v += update
+    np.divide(m, 1 - BETA1 ** t, out=update)  # m_hat
+    update *= lr
+    np.divide(v, 1 - BETA2 ** t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    update /= denom
+    update += np.multiply(params, lr * wd, out=denom)
+    params -= update
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +267,7 @@ def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
             [np.array(w, dtype=float) for w in payload["weights"]],
             [np.array(b, dtype=float) for b in payload["biases"]],
         )
-    except ValueError as exc:  # invalid JSON included
+    except (TypeError, ValueError) as exc:  # invalid JSON and non-number entries included
         raise ValueError(f"{path}: {exc}") from exc
     meta = {k: v for k, v in payload.items()
             if k not in {"format", "layer_dims", "weights", "biases"}}

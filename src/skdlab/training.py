@@ -112,14 +112,15 @@ def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig
     )
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     n = len(features)
+    batches = [slice(start, start + cfg.batch_size) for start in range(0, n, cfg.batch_size)]
+    grads = None  # the first backward allocates the run's gradient buffer; later ones refill it
     loss_per_epoch = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_features, epoch_spec = features[order], spec.rows(order)
         batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            loss, grads = backward(net, epoch_features[batch], epoch_spec.rows(batch))
+        for batch in batches:
+            loss, grads = backward(net, epoch_features[batch], epoch_spec.rows(batch), grads)
             optimizer_step(net, grads, state)
             batch_losses.append(loss)
         state.end_epoch()
@@ -154,7 +155,7 @@ def train_student(
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
-        return _run_training(train_set.features, CrossEntropyOnLabels(labels), width, cfg)
+        return _run_training(train_set.features, CrossEntropyOnLabels(labels, width), width, cfg)
     if teacher is None:
         raise ValueError(f"mode {distill.mode!r} requires a teacher")
     if teacher.num_outputs != width:

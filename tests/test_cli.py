@@ -415,6 +415,21 @@ class TestEvaluateCommand:
         )
         assert code == 2 and "width" in err
 
+    def test_unknown_label_level_names_the_checkpoint(
+        self, capsys, tiny_config, data_dir, tmp_path
+    ):
+        tdir = tmp_path / "teacher"
+        run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "-o", str(tdir),
+        )
+        ckpt = tdir / "checkpoint.json"
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "label_level": "coarse"}))
+        code, _, err = run(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
+        )
+        assert code == 2 and "checkpoint.json" in err and "'coarse'" in err
+
     @pytest.mark.parametrize("labels", ["class", "subclass"])
     def test_checkpoint_without_level_is_read_at_its_width(
         self, capsys, tiny_config, data_dir, tmp_path, labels
@@ -463,7 +478,12 @@ class TestEvaluateCommand:
         truncated = json.loads(ckpt.read_text())
         truncated["weights"].pop()
         truncated["biases"].pop()
-        payloads = [json.dumps(p) for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2])]
+        non_number = {
+            "format": "skdlab-net-v1", "layer_dims": [2, 2], "weights": [{"a": 1}], "biases": [[0, 0]]
+        }
+        payloads = [
+            json.dumps(p) for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2], non_number)
+        ]
         for text in (*payloads, "{bad"):
             ckpt.write_text(text)
             code, _, err = run(

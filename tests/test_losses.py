@@ -255,3 +255,28 @@ class TestLossSpecs:
         loss, grad = fused.loss_and_logit_grad(self.logits)
         assert loss == student_objective(ce_loss, kd_loss, lam)
         assert np.array_equal(grad, lam * ce_grad + (1.0 - lam) * kd_grad)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_run_ce_table_matches_the_labels_form(self, seed):
+        # the one-hot table built once at the run's width and sliced by rows()
+        # must give exactly what the batch's own labels give
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 4, size=40)
+        order = rng.permutation(40)
+        batch = slice(8, 14)
+        want = CrossEntropyOnLabels(labels[order[batch]]).loss_and_logit_grad(self.logits)
+        for spec in (CrossEntropyOnLabels(labels, 4), CrossEntropyOnLabels(labels)):
+            loss, grad = spec.rows(order).rows(batch).loss_and_logit_grad(self.logits)
+            assert loss == want[0]
+            assert np.array_equal(grad, want[1])
+
+    def test_per_run_tables_check_their_labels_once(self):
+        with pytest.raises(ValueError, match="out of range"):
+            CrossEntropyOnLabels(np.array([0, 4]), 4)
+        with pytest.raises(ValueError, match="out of range"):
+            CombinedObjective(np.array([0, 4]), np.zeros((2, 4)), tau=5.0, lam=0.45)
+        with pytest.raises(ValueError, match="sample count"):
+            CombinedObjective(np.array([0, 1, 2]), np.zeros((2, 4)), tau=5.0, lam=0.45)
+        spec = CrossEntropyOnLabels(self.labels, 4)
+        with pytest.raises(ValueError, match="width"):
+            spec.loss_and_logit_grad(np.zeros((6, 5)))

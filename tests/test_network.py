@@ -104,8 +104,9 @@ class TestSoftmax:
             )
 
     def test_tau_must_be_positive(self):
-        with pytest.raises(ValueError):
-            softmax_temperature(np.zeros(3), 0.0)
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                softmax_temperature(np.zeros(3), tau)
 
     def test_log_softmax_consistency(self):
         z = np.random.default_rng(4).standard_normal((9, 5)) * 30
@@ -176,6 +177,20 @@ class TestBackward:
         grads.d_weights[1][2, 3] = 7.0  # layer 1 starts after layer 0's 3 x 5 weights
         assert grads.flat[3 * 5 + 2 * 4 + 3] == 7.0
         np.testing.assert_array_equal(grads.flat, flat(grads.d_weights + grads.d_biases))
+
+    def test_writes_into_a_given_gradient_set(self):
+        rng = np.random.default_rng(9)
+        net = init_network([3, 5, 4, 2], seed=9)
+        spec = CrossEntropyOnLabels(np.arange(6) % 2)
+        X = rng.standard_normal((6, 3))
+        _, g = backward(net, rng.standard_normal((6, 3)), spec)  # holds another batch's gradients
+        buffer = g.flat
+        want_loss, want = backward(net, X, spec)
+        loss, got = backward(net, X, spec, out=g)
+        assert got is g and got.flat is buffer
+        assert loss == want_loss
+        assert np.array_equal(g.flat, want.flat)
+        assert all(np.shares_memory(a, buffer) for a in g.d_weights + g.d_biases)
 
 
 def loop_adam_step(weights, biases, grads, moments, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from skdlab import training
 from skdlab.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
 from skdlab.hierarchy import LabelHierarchy, build_task_preset
 from skdlab.losses import DistillAgainstTeacher, DistillConfig
@@ -183,6 +186,23 @@ class TestStudentModes:
             cfg = student_train_config(seed=3, epochs=1, distill=DistillConfig(mode, tau=tau))
             r = train_student(train, SL22, cfg, teacher=teacher)
             assert r.network.num_outputs == width, mode
+
+    @pytest.mark.parametrize("mode", ["subclass", "skd"])
+    def test_one_backward_and_one_step_per_batch(self, split, subclass_teacher, monkeypatch, mode):
+        # the exact work per run that the benchmark's guard counts
+        calls = {"backward": 0, "optimizer_step": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(training, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        distill = DistillConfig(mode, tau=5.0)
+        cfg = student_train_config(seed=3, epochs=3, batch_size=16, distill=distill)
+        teacher = subclass_teacher if mode == "skd" else None
+        train_student(split[0], SL22, cfg, teacher=teacher)
+        steps = 3 * math.ceil(len(split[0]) / 16)
+        assert len(split[0]) % 16 and calls == {"backward": steps, "optimizer_step": steps}
 
 
 class TestSeparability:
