@@ -21,6 +21,7 @@ from skdlab import (
     blahut_arimoto,
     build_task_preset,
     confusion_to_channel,
+    counts_from_confusions,
     detection_bits_bound,
     evaluate,
     generate_synthetic,
@@ -75,11 +76,7 @@ teacher = train_teacher(train, sl22, teacher_train_config(seed=SEED)).network
 
 metrics = evaluate(teacher, test, sl22, "subclass")
 sub_confs = per_class_subclass_confusions(teacher, test, sl22)
-counts = tuple(
-    tuple(int(x) for x in conf.sum(axis=1)) if conf is not None
-    else (int(metrics.class_confusion[c].sum()),)
-    for c, conf in enumerate(sub_confs)
-)
+counts = counts_from_confusions(metrics.class_confusion, sub_confs)
 row = label_bits_report(metrics.class_confusion, sub_confs, sl22, counts, task="SL22")
 print(f"\nteacher as a channel (test split):")
 print("class confusion, row-normalized:")

@@ -19,6 +19,7 @@ from .capacity import (
     binary_entropy,
     blahut_arimoto,
     confusion_to_channel,
+    counts_from_confusions,
     detection_bits_bound,
     estimate_accuracy,
     hierarchy_bits_bound,

@@ -510,6 +510,31 @@ class BitsReportRow:
     counts: dict
 
 
+def detection_report_row(
+    params: DetectionParams, task: str, empirical: dict | None = None, counts: dict | None = None
+) -> BitsReportRow:
+    """The detection bound's row for params.
+
+    Without confusions behind params, empirical is empty and counts are
+    params' own n_h0 and n_h1.
+    """
+    fitted = {"p_h0": params.p_h0, "p_h1": params.p_h1, "n_s": params.n_s, "p_s": params.p_s}
+    if counts is None:
+        counts = {"n_h0": params.n_h0, "n_h1": params.n_h1}
+    breakdown = detection_bits_bound(params)
+    return BitsReportRow(task, breakdown, params.n_s > 1, fitted, empirical or {}, counts)
+
+
+def counts_from_confusions(class_confusion, per_class_subclass_confusions) -> tuple:
+    """Per-subclass sample counts by class: the row sums of each class's subclass
+    confusion, or of its class-confusion row if it has none (a lone subclass)."""
+    class_conf = np.asarray(class_confusion)
+    return tuple(
+        tuple(int(n) for n in np.sum(class_conf[[c]] if conf is None else conf, axis=1))
+        for c, conf in enumerate(per_class_subclass_confusions)
+    )
+
+
 def label_bits_report(
     class_confusion,
     per_class_subclass_confusions,
@@ -524,7 +549,9 @@ def label_bits_report(
     class confusion's diagonal); everything else uses the hierarchy-wide
     bound with a single fitted class accuracy.  The empirical dict carries
     the Blahut-Arimoto capacity of each raw normalized confusion so the
-    symmetric-model fitting error stays visible.
+    symmetric-model fitting error stays visible.  The detection route's row
+    comes from detection_report_row, which ``skdlab bits`` also calls for
+    its parameter route.
     """
     class_conf = np.asarray(class_confusion, dtype=float)
     if class_conf.shape != (hierarchy.num_classes, hierarchy.num_classes):
@@ -555,6 +582,7 @@ def label_bits_report(
     if sub_caps or not detection:
         empirical["subclass_capacity"] = sub_caps
 
+    row_counts = {"per_class": [sum(r) for r in counts], "per_subclass": [list(r) for r in counts]}
     if detection:
         alt = split[0] if split else 0
         diag = class_channel.transition.diagonal()
@@ -566,22 +594,11 @@ def label_bits_report(
             n_h0=sum(counts[1 - alt]),
             n_h1=sum(counts[alt]),
         )
-        fitted = {"p_h0": params.p_h0, "p_h1": params.p_h1, "n_s": params.n_s, "p_s": params.p_s}
-        breakdown = detection_bits_bound(params)
-    else:
-        p_ci = [acc.get(c, 1.0) for c in range(hierarchy.num_classes)]
-        params = HierarchyBitsParams(hierarchy, p_c, tuple(p_ci), counts)
-        fitted = {"p_c": p_c, "p_ci": p_ci}
-        breakdown = hierarchy_bits_bound(params)
-
-    return BitsReportRow(
-        task=task,
-        breakdown=breakdown,
-        has_subclass_column=bool(split),
-        fitted=fitted,
-        empirical=empirical,
-        counts={"per_class": [sum(row) for row in counts], "per_subclass": [list(r) for r in counts]},
-    )
+        return detection_report_row(params, task, empirical, row_counts)
+    p_ci = [acc.get(c, 1.0) for c in range(hierarchy.num_classes)]
+    breakdown = hierarchy_bits_bound(HierarchyBitsParams(hierarchy, p_c, tuple(p_ci), counts))
+    fitted = {"p_c": p_c, "p_ci": p_ci}
+    return BitsReportRow(task, breakdown, bool(split), fitted, empirical, row_counts)
 
 
 def write_bits_csv(rows: list[BitsReportRow], path) -> None:

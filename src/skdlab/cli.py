@@ -47,19 +47,19 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .capacity import (
-    BitsReportRow,
     DetectionParams,
     bac_capacity,
     blahut_arimoto,
     confusion_to_channel,
-    detection_bits_bound,
+    counts_from_confusions,
+    detection_report_row,
     label_bits_report,
     qsc_capacity,
     write_bits_csv,
@@ -179,6 +179,10 @@ def _read_matrix(path) -> np.ndarray:
                 raise ValueError(f"{p}:{lineno}: {exc}") from exc
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{p}:{lineno}: non-finite cell")
+            if min(values) < 0:
+                raise ValueError(f"{p}:{lineno}: negative cell")
+            if not any(values):
+                raise ValueError(f"{p}:{lineno}: all-zero row")
             rows.append(values)
     if not rows:
         raise ValueError(f"{p}: no rows")
@@ -350,18 +354,23 @@ def _print_breakdown(breakdown, has_subclass: bool) -> None:
     print(f"total_bits={breakdown.total_bits:.6f}")
 
 
+def _read_confusion(path, n: int, what: str) -> np.ndarray:
+    m = _read_matrix(path)
+    if m.shape != (n, n):
+        raise ValueError(
+            f"{path}: {what} must be {n}x{n} for the hierarchy, got {m.shape[0]}x{m.shape[1]}"
+        )
+    return m
+
+
 def cmd_bits(args) -> int:
+    """Print (and with -o write) one label-bits row; capacity builds it on either route."""
     if args.from_confusion is not None:
         if args.hierarchy is None:
             raise ValueError("--from-confusion requires --hierarchy")
         hierarchy = load_hierarchy(Path(args.hierarchy))
-        class_conf = _read_matrix(args.from_confusion)
         n = hierarchy.num_classes
-        if class_conf.shape != (n, n):
-            raise ValueError(
-                f"{args.from_confusion}: class confusion must be {n}x{n} for the hierarchy, "
-                f"got {class_conf.shape[0]}x{class_conf.shape[1]}"
-            )
+        class_conf = _read_confusion(args.from_confusion, n, "class confusion")
         split = hierarchy.split_classes
         given = args.subclass_confusion or []
         if len(given) != len(split):
@@ -371,37 +380,17 @@ def cmd_bits(args) -> int:
             )
         sub_confs = [None] * n
         for c, path in zip(split, given):
-            sub_confs[c] = _read_matrix(path)
-        counts = [
-            (int(class_conf[c].sum()),) if m is None else tuple(int(x) for x in m.sum(axis=1))
-            for c, m in enumerate(sub_confs)
-        ]
+            sub_confs[c] = _read_confusion(
+                path, hierarchy.subclasses_per_class[c], f"class {c} subclass confusion"
+            )
+        counts = counts_from_confusions(class_conf, sub_confs)
         row = label_bits_report(class_conf, sub_confs, hierarchy, counts, task=args.task)
     else:
-        required = {
-            "--p-h0": args.p_h0,
-            "--p-h1": args.p_h1,
-            "--n-s": args.n_s,
-            "--p-s": args.p_s,
-            "--n-h0": args.n_h0,
-            "--n-h1": args.n_h1,
-        }
-        missing = [flag for flag, value in required.items() if value is None]
+        values = {f.name: getattr(args, f.name) for f in fields(DetectionParams)}
+        missing = [f"--{name.replace('_', '-')}" for name, value in values.items() if value is None]
         if missing:
             raise ValueError(f"missing {' '.join(missing)} (or use --from-confusion)")
-        params = DetectionParams(
-            p_h0=args.p_h0, p_h1=args.p_h1, n_s=args.n_s, p_s=args.p_s,
-            n_h0=args.n_h0, n_h1=args.n_h1,
-        )
-        breakdown = detection_bits_bound(params)
-        row = BitsReportRow(
-            task=args.task,
-            breakdown=breakdown,
-            has_subclass_column=args.n_s > 1,
-            fitted={"p_h0": args.p_h0, "p_h1": args.p_h1, "n_s": args.n_s, "p_s": args.p_s},
-            empirical={},
-            counts={"n_h0": args.n_h0, "n_h1": args.n_h1},
-        )
+        row = detection_report_row(DetectionParams(**values), args.task)
     _print_breakdown(row.breakdown, row.has_subclass_column)
     if args.out:
         out = Path(args.out)

@@ -161,8 +161,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            raw = list(pool.map(_seed_worker, tasks))
-    raw.sort(key=lambda item: item[0])  # deterministic merge regardless of pool order
+            raw = list(pool.map(_seed_worker, tasks))  # map keeps task order: seeds ascend
 
     per_seed = [{"seed": seed, "metrics": m} for seed, m, err, _ in raw if err is None]
     failures = [{"seed": seed, "error": err} for seed, _, err, _ in raw if err is not None]

@@ -134,15 +134,11 @@ def aggregate_class_probabilities(subclass_probs, hierarchy: LabelHierarchy) -> 
 # ---------------------------------------------------------------------------
 # Loss specs: the output-layer stories handed to network.backward.  Each
 # exposes loss_and_logit_grad(logits) -> (batch-mean loss, dL/dlogits);
-# the training loop's specs also expose rows(index), the spec on a subset.
+# the training loop's specs also expose rows(index), the spec on a subset,
+# and take the logits as the 2-D array backward passes.
 # Gradients are exact analytic derivatives:
 #   d(mean CE)/dz      = (softmax(z) - onehot) / n
 #   d(mean distill)/dz = (softmax(z/tau) - softmax(t/tau)) / (n * tau)
-
-
-def _as_batch(logits) -> np.ndarray:
-    """np.atleast_2d(logits), without the call for logits that already are a 2-D array."""
-    return logits if isinstance(logits, np.ndarray) and logits.ndim == 2 else np.atleast_2d(logits)
 
 
 def _one_hot_table(labels, width: int) -> np.ndarray:
@@ -197,8 +193,7 @@ class CrossEntropyOnLabels:
         sub._one_hot = None if self._one_hot is None else self._one_hot[index]
         return sub
 
-    def loss_and_logit_grad(self, logits):
-        z = _as_batch(logits)
+    def loss_and_logit_grad(self, z):
         hot = self._one_hot
         if hot is None:
             hot = _one_hot_table(self.labels, z.shape[1])
@@ -261,8 +256,7 @@ class CombinedObjective:
         sub._teacher_log_probs = self._teacher_log_probs[index]
         return sub
 
-    def loss_and_logit_grad(self, logits):
-        z = _as_batch(logits)
+    def loss_and_logit_grad(self, z):
         pt = self._teacher_probs
         if pt.shape != z.shape:
             raise ValueError(f"teacher logits {pt.shape} do not match student {z.shape}")

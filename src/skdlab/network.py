@@ -267,6 +267,8 @@ def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
             [np.array(w, dtype=float) for w in payload["weights"]],
             [np.array(b, dtype=float) for b in payload["biases"]],
         )
+        if not np.isfinite(net.params).all():  # json reads NaN and Infinity
+            raise ValueError("weights and biases must be finite")
     except (TypeError, ValueError) as exc:  # invalid JSON and non-number entries included
         raise ValueError(f"{path}: {exc}") from exc
     meta = {k: v for k, v in payload.items()

@@ -19,7 +19,9 @@ from skdlab.capacity import (
     binary_entropy,
     blahut_arimoto,
     confusion_to_channel,
+    counts_from_confusions,
     detection_bits_bound,
+    detection_report_row,
     estimate_accuracy,
     hierarchy_bits_bound,
     label_bits_report,
@@ -533,6 +535,36 @@ class TestLabelBitsReport:
         assert row.fitted["p_h0"] == pytest.approx(0.9)
         assert row.fitted["p_h1"] == pytest.approx(0.8)
         assert "class_capacity" in row.empirical
+
+    @pytest.mark.parametrize("task", ["SL21", "SL12"])
+    def test_detection_route_is_the_builders_row(self, task):
+        h = build_task_preset(task)
+        alt = h.split_classes[0]
+        class_conf = np.array([[90, 10], [30, 70]])
+        sub_conf = [[40, 10], [15, 35]]
+        subs = [sub_conf if c == alt else None for c in range(2)]
+        counts = ((50, 50), (100,)) if alt == 0 else ((100,), (50, 50))
+        row = label_bits_report(class_conf, subs, h, counts, task=task)
+        diag = confusion_to_channel(class_conf).transition.diagonal()
+        params = DetectionParams(
+            float(diag[1 - alt]), float(diag[alt]), 2, estimate_accuracy(sub_conf), 100, 100
+        )
+        empirical = {
+            "class_capacity": blahut_arimoto(confusion_to_channel(class_conf))[0],
+            "subclass_capacity": {alt: blahut_arimoto(confusion_to_channel(sub_conf))[0]},
+        }
+        per_subclass = [list(c) for c in counts]
+        expected = detection_report_row(
+            params, task, empirical, {"per_class": [100, 100], "per_subclass": per_subclass}
+        )
+        assert row == expected
+
+    def test_counts_from_float_confusions(self):
+        class_conf = np.array([[90.0, 10.0], [20.0, 80.0]])  # as read from a CSV
+        sub_conf = np.array([[40.0, 10.0], [12.0, 38.0]])
+        counts = counts_from_confusions(class_conf, [None, sub_conf])
+        assert counts == ((100,), (50, 50))
+        assert all(type(n) is int for row in counts for n in row)
 
     def test_class_level_route_has_no_subclass_column(self):
         h = build_task_preset("ClassLevel")

@@ -124,17 +124,36 @@ class TestBitsCommand:
         out_dir = tmp_path / "bits"
         code, _, _ = run(capsys, "bits", *self.FLAGS, "--task", "demo", "-o", str(out_dir))
         assert code == 0
-        lines = (out_dir / "bits.csv").read_text().splitlines()
-        assert lines[0] == "task,class_bits,subclass_bits,total_bits"
-        assert lines[1] == "demo,0.531004,0.122544,0.653548"
-        payload = json.loads((out_dir / "bits.json").read_text())
-        assert payload[0]["task"] == "demo"
-        assert payload[0]["counts"] == {"n_h0": 2162, "n_h1": 990}
+        assert (out_dir / "bits.csv").read_bytes() == (
+            b"task,class_bits,subclass_bits,total_bits\r\n"
+            b"demo,0.531004,0.122544,0.653548\r\n"
+        )
+        assert (out_dir / "bits.json").read_bytes() == textwrap.dedent("""\
+            [
+              {
+                "task": "demo",
+                "class_bits": 0.5310044064107189,
+                "subclass_bits": 0.12254381292219656,
+                "total_bits": 0.6535482193329154,
+                "fitted": {
+                  "p_h0": 0.9,
+                  "p_h1": 0.9,
+                  "n_s": 2,
+                  "p_s": 0.85
+                },
+                "empirical": {},
+                "counts": {
+                  "n_h0": 2162,
+                  "n_h1": 990
+                }
+              }
+            ]
+            """).encode()
 
     def test_missing_parameters_listed(self, capsys):
-        code, _, err = run(capsys, "bits", "--p-h0", "0.9")
+        code, _, err = run(capsys, "bits", "--p-h0", "0.9", "--p-s", "0.85")
         assert code == 2
-        assert "--p-h1" in err and "--n-h1" in err
+        assert err == "error: missing --p-h1 --n-s --n-h0 --n-h1 (or use --from-confusion)\n"
 
     def test_confusion_route(self, capsys, tmp_path):
         hier = tmp_path / "hierarchy.json"
@@ -203,6 +222,29 @@ class TestBitsCommand:
             capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
         )
         assert code == 2 and err.startswith(f"error: {hier}: "), err
+
+    @pytest.mark.parametrize(
+        "bad, text, message",
+        [
+            ("sub", "1,0,0\n0,1,0\n0,0,1\n", "sub.csv: class 0 subclass confusion must be 2x2"),
+            ("sub", "40,-1\n10,40\n", "sub.csv:1: negative cell"),
+            ("class", "90,-10\n20,80\n", "class.csv:1: negative cell"),
+            ("class", "90,10\n0,0\n", "class.csv:2: all-zero row"),
+            ("sub", "0,0\n10,40\n", "sub.csv:1: all-zero row"),
+        ],
+        ids=["sub-shape", "sub-negative", "class-negative", "class-zero-row", "sub-zero-row"],
+    )
+    def test_bad_confusion_file_is_named(self, capsys, tmp_path, bad, text, message):
+        hier = tmp_path / "hierarchy.json"
+        hier.write_text(json.dumps({"subclasses_per_class": [2, 1]}))
+        files = {"class": "90,10\n20,80\n", "sub": "40,10\n10,40\n", bad: text}
+        for name, content in files.items():
+            (tmp_path / f"{name}.csv").write_text(content)
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(tmp_path / "class.csv"),
+            "--subclass-confusion", str(tmp_path / "sub.csv"), "--hierarchy", str(hier),
+        )
+        assert code == 2 and err.startswith(f"error: {tmp_path / message}"), err
 
     def test_confusion_route_rejects_non_finite_cell(self, capsys, tmp_path):
         hier = tmp_path / "hierarchy.json"
@@ -481,15 +523,24 @@ class TestEvaluateCommand:
         non_number = {
             "format": "skdlab-net-v1", "layer_dims": [2, 2], "weights": [{"a": 1}], "biases": [[0, 0]]
         }
+        non_finite = []
+        for value in (float("nan"), float("inf")):  # json writes these as NaN and Infinity
+            payload = json.loads(ckpt.read_text())
+            payload["weights"][0][0][0] = value
+            non_finite.append(payload)
         payloads = [
-            json.dumps(p) for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2], non_number)
+            json.dumps(p)
+            for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2], non_number, *non_finite)
         ]
         for text in (*payloads, "{bad"):
             ckpt.write_text(text)
-            code, _, err = run(
-                capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir)
-            )
-            assert code == 2 and "checkpoint.json" in err, text
+            for command in (
+                ["evaluate", "--checkpoint", str(ckpt)],
+                ["train", "-c", str(tiny_config), "--role", "student", "--mode", "skd",
+                 "--teacher", str(ckpt), "-o", str(tmp_path / "student")],
+            ):
+                code, _, err = run(capsys, *command, "--data", str(data_dir))
+                assert code == 2 and "checkpoint.json" in err, (command[0], text)
 
     def test_missing_checkpoint(self, capsys, data_dir):
         code, _, err = run(
