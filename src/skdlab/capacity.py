@@ -35,6 +35,10 @@ information I(r) over input distributions r from a uniform start:
 * The result is certified, not trusted: for every r the capacity C lies in
   [I(r), max_x D_x], and the solver stops only when that bracket is
   narrower than tol.
+* A two-input channel, such as the binary class and subclass confusions
+  the label-bit budgets are built from, is solved on Python floats: on so
+  small an alphabet numpy's per-call cost outweighs the arithmetic.  Three
+  or more inputs use numpy.
 
 Two bounds combine these capacities into label bits per training sample:
 
@@ -50,6 +54,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from math import log, log2
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +62,7 @@ import numpy as np
 from .hierarchy import LabelHierarchy
 
 ROW_SUM_TOL = 1e-9
+LN2 = log(2.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -163,18 +169,29 @@ def blahut_arimoto(
     D_x is computed as sum_y P log2 P - sum_y P log2 q.  The first sum, the
     row's negative entropy (0 log 0 = 0), does not depend on r, so it is
     computed once per call.  Output columns that are zero in every row carry
-    no mass and are dropped first.  Every kept column has q > 0 at the
-    uniform start, both steps keep it so (a Newton step that would empty a
-    column is refused), and so log2 q is always finite and D needs no mask.
+    no mass and are dropped first, and so is a column whose mass at the
+    uniform start underflows to 0: it carries under 1e-320 bits.  Every kept
+    column has q > 0 at the uniform start, both steps keep it so (a Newton
+    step that would empty a column is refused), and so log2 q is always
+    finite and D needs no mask.
+
+    A two-input channel, such as a binary confusion, runs the same algorithm
+    on Python floats (_blahut_arimoto_two_inputs), where numpy's per-call
+    cost would outweigh the arithmetic; three or more inputs use numpy.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if channel.input_size == 2:
+        return _blahut_arimoto_two_inputs(channel.transition, tol, max_iters)
     P = channel.transition
     P = P[:, P.any(axis=0)]
-    neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
     m = channel.input_size
     r = np.full(m, 1.0 / m)
     q = r @ P
+    if not q.all():
+        P = P[:, q > 0]
+        q = r @ P
+    neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
     D = neg_entropy - P @ np.log2(q)
     i_lower = float(r @ D)
     for _ in range(max_iters):
@@ -198,6 +215,68 @@ def blahut_arimoto(
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
 
 
+def _blahut_arimoto_two_inputs(P, tol, max_iters) -> tuple[float, np.ndarray]:
+    """blahut_arimoto's loop and _newton_step for a 2 x n channel, on Python floats.
+
+    With two inputs the only direction on the simplex is e_0 - e_1, so the
+    Newton step is one division, with the same 1e-12 ridge and no step when
+    the ridge is 0 (every curvature term underflows, as on rows a subnormal
+    ulp apart).  A step that leaves the simplex is cut where the shrinking
+    input reaches exactly 0, or not taken if that input has no mass already.
+    math.log2 raises on 0 where np.log2 warns, so a marginal with an empty
+    column is never passed to it: such a Newton step is refused, and a
+    Blahut-Arimoto step that empties one raises ConvergenceError.  That
+    needs a product of an input mass and a cell to underflow in both rows,
+    and has not been seen.
+    """
+    # a column with no mass at the uniform start (0.5, 0.5) is dropped
+    cols = [(a, b) for a, b in zip(*P.tolist()) if 0.5 * a + 0.5 * b > 0.0]
+    neg_entropy_0 = sum(a * log2(a) for a, _ in cols if a > 0.0)
+    neg_entropy_1 = sum(b * log2(b) for _, b in cols if b > 0.0)
+
+    def at(r0, r1):
+        """(q, D_0, D_1, I) at input (r0, r1), or None if q has an empty column."""
+        q = [r0 * a + r1 * b for a, b in cols]
+        if not all(q):
+            return None
+        log_q = [log2(v) for v in q]
+        d0 = neg_entropy_0 - sum(a * lq for (a, _), lq in zip(cols, log_q))
+        d1 = neg_entropy_1 - sum(b * lq for (_, b), lq in zip(cols, log_q))
+        return q, d0, d1, r0 * d0 + r1 * d1
+
+    r0 = r1 = 0.5
+    q, d0, d1, i_lower = at(r0, r1)
+    for _ in range(max_iters):
+        if max(d0, d1) - i_lower < tol:
+            return max(i_lower, 0.0), np.array([r0, r1])
+        # an input with no mass is free only if moving mass onto it raises I
+        if (r0 > 0.0 or d0 > i_lower) and (r1 > 0.0 or d1 > i_lower):
+            curvature = sum((a - b) / v * (a - b) for (a, b), v in zip(cols, q))
+            ridge = 1e-12 * curvature
+            if ridge != 0.0:
+                head = (d0 - d1) * LN2 / (curvature + ridge)
+                step = (r0 + head, r1 - head)
+                if step[0] < 0.0:  # cut where input 0 reaches 0, unless it has no mass
+                    step = (0.0, r1 + r0 / -head * -head) if r0 > 0.0 else None
+                elif step[1] < 0.0:
+                    step = (r0 + r1 / head * head, 0.0) if r1 > 0.0 else None
+                if step is not None:
+                    total = step[0] + step[1]
+                    s0, s1 = step[0] / total, step[1] / total
+                    new = at(s0, s1)
+                    if new is not None and new[3] > i_lower:
+                        r0, r1 = s0, s1
+                        q, d0, d1, i_lower = new
+                        continue
+        w0, w1 = r0 * 2.0**d0, r1 * 2.0**d1
+        r0, r1 = w0 / (w0 + w1), w1 / (w0 + w1)
+        new = at(r0, r1)
+        if new is None:
+            raise ConvergenceError("a Blahut-Arimoto step emptied an output column")
+        q, d0, d1, i_lower = new
+    raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
+
+
 def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     """Newton step on I(r) over the simplex, restricted to the active inputs.
 
@@ -214,11 +293,13 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     cancels.  Where rows are linearly dependent I is linear along some
     directions and this curvature vanishes; a ridge of 1e-12 of the trace
     makes such a step very long, and the step is then cut where the first
-    mass reaches 0, which is the best point on that line.  With two free
-    inputs, as on every 2x2 channel, there is one direction and the system
-    is 1x1, solved by one division; larger systems take an LU solve.  When
-    every input has mass, P, D and r are used as they are, without gathering
-    the free rows.
+    mass reaches 0, which is the best point on that line.  Only channels with
+    three or more inputs come here (two-input channels take the same step in
+    _blahut_arimoto_two_inputs).  With two free inputs (three or more
+    inputs, two of them free) there is one direction and the system is 1x1,
+    solved by one division; larger systems take an LU solve.  When every
+    input has mass, P, D and r are used as they are, without gathering the
+    free rows.
 
     If the full step leaves the simplex, a zero-mass input it would push
     below 0 is dropped from the free set and the step is solved again;

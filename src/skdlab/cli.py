@@ -164,7 +164,8 @@ def _experiment_config(parser) -> ExperimentConfig:
     return cfg
 
 
-def _read_matrix(path) -> np.ndarray:
+def _read_matrix(path, counts: bool = False) -> np.ndarray:
+    """The CSV's rows as a float matrix; with counts, every cell must be a whole number."""
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"matrix file not found: {p}")
@@ -183,6 +184,8 @@ def _read_matrix(path) -> np.ndarray:
                 raise ValueError(f"{p}:{lineno}: negative cell")
             if not any(values):
                 raise ValueError(f"{p}:{lineno}: all-zero row")
+            if counts and not all(v.is_integer() for v in values):
+                raise ValueError(f"{p}:{lineno}: confusion counts must be whole numbers")
             rows.append(values)
     if not rows:
         raise ValueError(f"{p}: no rows")
@@ -355,7 +358,7 @@ def _print_breakdown(breakdown, has_subclass: bool) -> None:
 
 
 def _read_confusion(path, n: int, what: str) -> np.ndarray:
-    m = _read_matrix(path)
+    m = _read_matrix(path, counts=True)
     if m.shape != (n, n):
         raise ValueError(
             f"{path}: {what} must be {n}x{n} for the hierarchy, got {m.shape[0]}x{m.shape[1]}"
@@ -387,6 +390,10 @@ def cmd_bits(args) -> int:
         row = label_bits_report(class_conf, sub_confs, hierarchy, counts, task=args.task)
     else:
         values = {f.name: getattr(args, f.name) for f in fields(DetectionParams)}
+        if values["n_s"] == 1:  # an unsplit alternative: p_s as label_bits_report records it
+            if values["p_s"] is not None:
+                raise ValueError("--p-s applies only when --n-s is above 1")
+            values["p_s"] = 1.0
         missing = [f"--{name.replace('_', '-')}" for name, value in values.items() if value is None]
         if missing:
             raise ValueError(f"missing {' '.join(missing)} (or use --from-confusion)")
@@ -447,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-h0", type=float, help="null-hypothesis class accuracy")
     p.add_argument("--p-h1", type=float, help="alternative-hypothesis class accuracy")
     p.add_argument("--n-s", type=int, help="subclass count of the alternative")
-    p.add_argument("--p-s", type=float, help="subclass accuracy of the alternative")
+    p.add_argument("--p-s", type=float,
+                   help="subclass accuracy of the alternative (not with --n-s 1)")
     p.add_argument("--n-h0", type=int, help="null-hypothesis sample count")
     p.add_argument("--n-h1", type=int, help="alternative-hypothesis sample count")
     p.add_argument("--from-confusion", metavar="CLASS_CSV",

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skdlab import capacity
 from skdlab.capacity import (
     BitsBreakdown,
     ChannelSpec,
@@ -288,6 +289,68 @@ class TestBlahutArimoto:
             i_lower, i_upper = _bracket(ch, r)
             assert i_upper - i_lower < 1e-10
             assert cap == pytest.approx(i_lower, abs=1e-12)
+
+    def test_two_input_channels_need_no_numpy_newton_step(self, monkeypatch):
+        # a 2 x n channel runs on Python floats, with its own one-direction Newton step
+        def no_newton(*args, **kwargs):
+            raise AssertionError("_newton_step called on a two-input channel")
+
+        monkeypatch.setattr(capacity, "_newton_step", no_newton)
+        rng = np.random.default_rng(41)
+        channels = [P[:2] for P in _dirichlet_channels(43, 150, 6)]  # a third with a zeroed column
+        channels += [z_channel(p).transition for p in (0.0, 0.3, 1.0)]
+        channels += [np.tile(rng.dirichlet(np.ones(n)), (2, 1)) for n in (2, 3, 5)]  # identical rows
+        channels += [confusion_to_channel(c).transition for c in NEAR_CHANCE_CONFUSIONS]
+        channels += [[[0.0009, 0.9991], [0.0, 1.0]]]
+        tol, compared = 1e-10, 0
+        for P in channels:
+            ch = ChannelSpec(P)
+            cap, r = blahut_arimoto(ch, tol=tol)
+            i_lower, i_upper = _bracket(ch, r)
+            assert i_upper - i_lower < tol
+            assert cap == pytest.approx(i_lower, abs=1e-12)
+            try:
+                want, _ = _reference_blahut_arimoto(ch, tol=tol, max_iters=5000)
+            except ConvergenceError:
+                continue
+            compared += 1
+            assert cap == pytest.approx(want, abs=2 * tol)
+        assert compared > 100
+        with pytest.raises(ConvergenceError, match="no convergence within 1 iterations"):
+            blahut_arimoto(bac_channel(0.9, 0.7), max_iters=1)
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_two_input_step_is_cut_where_an_input_reaches_zero(self, order):
+        # with a tol below rounding, the Newton step overshoots the simplex on rows
+        # that differ by 5e-17; it stops at exactly 0, where the bracket certifies
+        P = np.array([[1e-17, 1.0], [6e-17, 1.0 - 6e-17]])[order]
+        cap, r = blahut_arimoto(ChannelSpec(P), tol=1e-18, max_iters=2)
+        assert sorted(r.tolist()) == [0.0, 1.0] and cap == 0.0
+
+    def test_two_input_newton_step_needs_curvature(self):
+        # rows 1 subnormal ulp apart: each curvature term underflows to 0, so no Newton
+        # step is taken, while rounding keeps the bracket open at tol = 5e-324
+        P = [[10 * 5e-324, 1.0], [11 * 5e-324, 1.0]]
+        with pytest.raises(ConvergenceError, match="no convergence within 3 iterations"):
+            blahut_arimoto(ChannelSpec(P), tol=5e-324, max_iters=3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[5e-324, 0.7, 0.3], [0.0, 0.2, 0.8]],
+         [[5e-324, 0.7, 0.3], [0.0, 0.2, 0.8], [0.0, 0.5, 0.5]]],
+        ids=["2-inputs", "3-inputs"],
+    )
+    def test_column_that_underflows_at_the_uniform_start_is_dropped(self, rows):
+        # half (or a third) of 5e-324 rounds to 0, so column 0 has no mass at the
+        # uniform start; dropped, it takes under 1e-320 bits with it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap, r = blahut_arimoto(ChannelSpec(rows))
+        rest = ChannelSpec(np.array(rows)[:, 1:])
+        i_lower, i_upper = _bracket(rest, r)
+        assert i_upper - i_lower < 1e-10
+        assert cap == pytest.approx(i_lower, abs=1e-12)
+        assert cap == pytest.approx(blahut_arimoto(rest)[0], abs=2e-10)  # both within tol of C
 
     def test_binary_channels_certify_within_twenty_steps(self):
         # a deterministic grid of accuracies in (0.5, 1), down to 1e-6 above chance

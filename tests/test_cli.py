@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,6 +79,15 @@ class TestCapacityCommand:
         m.write_text("600,400\n597,403\n")
         code, out, _ = run(capsys, "capacity", "--matrix", str(m))
         assert code == 0 and out == "0.000007\n"  # bac_capacity(0.6, 0.403) = 6.754e-06
+
+    @pytest.mark.parametrize("text", ["5e-324,1\n0,1\n", "5e-324,1\n0,1\n0,1\n"], ids=["2x2", "3x2"])
+    def test_column_that_underflows_carries_no_bits(self, capsys, tmp_path, text):
+        m = tmp_path / "tiny.csv"
+        m.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "capacity", "--matrix", str(m))
+        assert (code, out, err) == (0, "0.000000\n", "")
 
     def test_non_integer_size_rejected(self, capsys):
         code, _, err = run(capsys, "capacity", "--qsc", "4.5", "0.7")
@@ -155,6 +165,22 @@ class TestBitsCommand:
         assert code == 2
         assert err == "error: missing --p-h1 --n-s --n-h0 --n-h1 (or use --from-confusion)\n"
 
+    def test_single_subclass_alternative_needs_no_p_s(self, capsys, tmp_path):
+        flags = ["--p-h0", "0.9", "--p-h1", "0.8", "--n-s", "1", "--n-h0", "100", "--n-h1", "50"]
+        code, out, _ = run(capsys, "bits", *flags, "-o", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[:2] == ["class_bits=0.397754", "total_bits=0.397754"]
+        fitted = json.loads((tmp_path / "bits.json").read_text())[0]["fitted"]
+        assert fitted == {"p_h0": 0.9, "p_h1": 0.8, "n_s": 1, "p_s": 1.0}
+
+    def test_p_s_with_single_subclass_alternative_rejected(self, capsys, tmp_path):
+        flags = ["--p-h0", "0.9", "--p-h1", "0.8", "--n-s", "1", "--p-s", "0.3"]
+        code, out, err = run(capsys, "bits", *flags, "--n-h0", "100", "--n-h1", "50",
+                             "-o", str(tmp_path / "bits"))
+        assert (code, out) == (2, "")
+        assert err == "error: --p-s applies only when --n-s is above 1\n"
+        assert not (tmp_path / "bits").exists()
+
     def test_confusion_route(self, capsys, tmp_path):
         hier = tmp_path / "hierarchy.json"
         hier.write_text(json.dumps({"subclasses_per_class": [1, 2]}))
@@ -231,8 +257,13 @@ class TestBitsCommand:
             ("class", "90,-10\n20,80\n", "class.csv:1: negative cell"),
             ("class", "90,10\n0,0\n", "class.csv:2: all-zero row"),
             ("sub", "0,0\n10,40\n", "sub.csv:1: all-zero row"),
+            ("class", "90,10\n20,80.7\n", "class.csv:2: confusion counts must be whole numbers"),
+            ("sub", "40,10\n10,39.5\n", "sub.csv:2: confusion counts must be whole numbers"),
         ],
-        ids=["sub-shape", "sub-negative", "class-negative", "class-zero-row", "sub-zero-row"],
+        ids=[
+            "sub-shape", "sub-negative", "class-negative", "class-zero-row", "sub-zero-row",
+            "class-fraction", "sub-fraction",
+        ],
     )
     def test_bad_confusion_file_is_named(self, capsys, tmp_path, bad, text, message):
         hier = tmp_path / "hierarchy.json"
