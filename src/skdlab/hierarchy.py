@@ -36,6 +36,7 @@ class LabelHierarchy:
     subclasses_per_class: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    split_classes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spc = tuple(int(n) for n in self.subclasses_per_class)
@@ -49,6 +50,7 @@ class LabelHierarchy:
             offsets.append(offsets[-1] + n)
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "class_of", tuple(c for c, n in enumerate(spc) for _ in range(n)))
+        object.__setattr__(self, "split_classes", tuple(c for c, n in enumerate(spc) if n > 1))
 
     @property
     def num_classes(self) -> int:
@@ -57,11 +59,6 @@ class LabelHierarchy:
     @property
     def total_subclasses(self) -> int:
         return self.offsets[-1]
-
-    @property
-    def split_classes(self) -> tuple[int, ...]:
-        """Classes with more than one subclass, in class order."""
-        return tuple(c for c, n in enumerate(self.subclasses_per_class) if n > 1)
 
     def class_slice(self, class_index: int) -> slice:
         """Slice of global subclass indices belonging to one class."""

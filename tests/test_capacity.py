@@ -126,6 +126,21 @@ SLOW_CHANNEL = [
 NEAR_CHANCE_CONFUSIONS = [[[600, 400], [597, 403]], [[900, 100], [897, 103]], [[200, 800], [197, 803]]]
 
 
+def _vanishing_input_channel():
+    """7x13 Dirichlet channel in which input 4 alone reaches output 0, with P = 0.0009.
+
+    By the KKT conditions input 4 keeps mass at the optimum, but very little:
+    a Newton step cut where its mass reaches 0 would empty output 0.
+    """
+    P = np.random.default_rng(5).dirichlet(np.ones(13), size=7)
+    P[:, 0] = 0.0
+    P[4, 0] = 0.0009
+    return P / P.sum(axis=1, keepdims=True)
+
+
+VANISHING_INPUT_CHANNEL = _vanishing_input_channel()
+
+
 def _reference_blahut_arimoto(channel, tol=1e-10, max_iters=100_000):
     """Blahut-Arimoto with D_x = sum_y P log2(P / q) masked at P = 0 in every iteration."""
     P = channel.transition
@@ -269,6 +284,63 @@ class TestBlahutArimoto:
         i_lower, i_upper = _bracket(ch, r)
         assert i_upper - i_lower < 1e-10 and r[1] > 0.0
 
+    @staticmethod
+    def _count_newton_steps(monkeypatch):
+        calls = []
+        newton_step = capacity._newton_step
+
+        def counted(*args):
+            calls.append(1)
+            return newton_step(*args)
+
+        monkeypatch.setattr(capacity, "_newton_step", counted)
+        return calls
+
+    def test_vanishing_input_pauses_newton(self, monkeypatch):
+        # nearly every Newton step is cut where input 4 reaches 0 and refused for
+        # emptying output 0; without the pause after a refusal every iteration
+        # tried one, 1553 in all
+        calls = self._count_newton_steps(monkeypatch)
+        ch = ChannelSpec(VANISHING_INPUT_CHANNEL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap, r = blahut_arimoto(ch)
+        assert len(calls) <= 200
+        i_lower, i_upper = _bracket(ch, r)
+        assert i_upper - i_lower < 1e-10
+        assert cap == pytest.approx(i_lower, abs=1e-12)
+        assert 0.0 < r[4] < 1e-30
+
+    def test_step_count_on_an_input_alone_on_an_output(self, monkeypatch):
+        # input 2 alone reaches output 0.  8 Newton steps, with P as given or as a
+        # non-contiguous copy; 50 before the pause.  The count hangs on the last bit
+        # of P @ log2(q), so another BLAS may round its way to a step or two more.
+        calls = self._count_newton_steps(monkeypatch)
+        ch = ChannelSpec([[0, 0.9, 0.1], [0, 0.1, 0.9], [0.05, 0.5, 0.45]])
+        cap, r = blahut_arimoto(ch)
+        assert len(calls) <= 10
+        i_lower, i_upper = _bracket(ch, r)
+        assert i_upper - i_lower < 1e-10 and r[2] > 0.0
+
+    def test_input_whose_mass_underflows_raises_convergence_error(self):
+        # input 4 alone reaches output 2, with P = 5.4e-6, and Blahut-Arimoto steps
+        # shrink its mass below the smallest double.  On the way 1 / q overflows in
+        # the Newton system, which used to surface as a ValueError from an empty
+        # argmin; it now gives no Newton step, and the emptied output ends the call
+        P = [
+            [0.03, 0.02, 0.0, 0.95],
+            [0.32, 0.52, 0.0, 0.15999999999999992],
+            [0.24, 0.29, 0.0, 0.47],
+            [0.0, 0.29, 0.0, 0.71],
+            [0.19, 0.44, 5.401565972499245e-06, 0.3699945984340275],
+            [0.01, 0.63, 0.0, 0.36],
+            [0.24, 0.37, 0.0, 0.39],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(ConvergenceError, match="emptied an output column"):
+                blahut_arimoto(ChannelSpec(P))
+
     def test_agrees_with_bac_closed_form(self):
         rng = np.random.default_rng(23)
         for p0, p1 in rng.uniform(0.01, 1.0, size=(300, 2)):
@@ -326,6 +398,15 @@ class TestBlahutArimoto:
         P = np.array([[1e-17, 1.0], [6e-17, 1.0 - 6e-17]])[order]
         cap, r = blahut_arimoto(ChannelSpec(P), tol=1e-18, max_iters=2)
         assert sorted(r.tolist()) == [0.0, 1.0] and cap == 0.0
+
+    def test_two_input_step_that_certifies_is_kept(self):
+        # near the optimum the Newton step's rise in I is below one ulp; the step
+        # is kept because its own bracket certifies (16 iterations when refused)
+        P = [[0.5882068026622195, 0.4117931973377805], [0.9998136202227313, 0.00018637977726865262]]
+        cap, r = blahut_arimoto(ChannelSpec(P), max_iters=5)
+        i_lower, i_upper = _bracket(ChannelSpec(P), r)
+        assert i_upper - i_lower < 1e-10
+        assert cap == pytest.approx(i_lower, abs=1e-12)
 
     def test_two_input_newton_step_needs_curvature(self):
         # rows 1 subnormal ulp apart: each curvature term underflows to 0, so no Newton
@@ -713,6 +794,44 @@ class TestLabelBitsReport:
         else:
             assert list(row.empirical) == ["class_capacity", "subclass_capacity"]
             assert list(row.empirical["subclass_capacity"]) == sub_caps
+
+    BAD_CONFUSIONS = {  # class confusion, class 0's subclass confusion, message per route
+        "negative class count": (
+            [[-10, 110], [20, 80]], [[40, 10], [10, 40]], "transition entries must lie in [0, 1]"
+        ),
+        "all-zero class row": (
+            [[0, 0], [20, 80]], [[40, 10], [10, 40]], "every true label needs at least one sample"
+        ),
+        # ChannelSpec clips the -1e-18 it becomes to 0: the hierarchy route's fit still
+        # sees a negative count, and the detection route an accuracy of 0
+        "tiny negative class cell": (
+            [[-1e-16, 100], [20, 80]],
+            [[40, 10], [10, 40]],
+            {"SL22": "confusion counts must be nonnegative", "SL21": "hypothesis accuracies must lie in (0, 1]"},
+        ),
+        "wrong subclass shape": (
+            [[90, 10], [20, 80]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], "class 0 subclass confusion must be 2x2"
+        ),
+        "negative subclass count": (
+            [[90, 10], [20, 80]], [[-10, 60], [10, 40]], "confusion counts must be nonnegative"
+        ),
+        "all-zero subclass row": (
+            [[90, 10], [20, 80]], [[0, 0], [10, 40]], "every true label needs at least one sample"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_CONFUSIONS))
+    @pytest.mark.parametrize("task", ["SL22", "SL21"], ids=["hierarchy", "detection"])
+    def test_bad_confusion_message(self, task, case):
+        class_conf, sub_conf, expect = self.BAD_CONFUSIONS[case]
+        if isinstance(expect, dict):
+            expect = expect[task]
+        h = build_task_preset(task)  # class 0 is split on both routes, class 1 only on SL22
+        subs = [sub_conf, [[45, 5], [5, 45]] if task == "SL22" else None]
+        counts = tuple((50,) * n for n in h.subclasses_per_class)
+        with pytest.raises(ValueError) as info:
+            label_bits_report(class_conf, subs, h, counts)
+        assert str(info.value) == expect
 
     def test_shape_mismatch_rejected(self):
         h = build_task_preset("SL12")

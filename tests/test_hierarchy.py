@@ -34,6 +34,8 @@ class TestLabelHierarchy:
         h = LabelHierarchy(spc)
         assert h.class_of == class_of
         assert h.split_classes == split
+        assert h.split_classes is h.split_classes  # built once, not on every access
+        assert repr(h) == f"LabelHierarchy(subclasses_per_class={tuple(spc)!r})"
 
     @pytest.mark.parametrize("bad", [(), (0, 2), (2, -1)])
     def test_invalid_shapes_rejected(self, bad):
