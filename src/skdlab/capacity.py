@@ -23,18 +23,27 @@ implemented independently of all the closed forms and serves as the
 numerical oracle they are checked against.  It maximizes the mutual
 information I(r) over input distributions r from a uniform start:
 
-* Each iteration tries a Newton step on I over the simplex, restricted to
-  the active inputs.  It keeps the step if it raises I, and returns at once
-  if the step's own bracket (below) already certifies, which near the
-  optimum is often the case while rounding hides the rise in I.  Otherwise
-  it takes the classic Blahut-Arimoto step, which never lowers I.  Newton
-  converges in a few steps where the classic step alone crawls, for
-  example on a teacher just above chance, whose two confusion rows nearly
-  coincide.
+* The result is certified, not trusted: for every r the capacity C lies in
+  [I(r), max_x D_x], where D_x is the relative entropy from row x to the
+  output marginal, and the solver stops only when that bracket is
+  narrower than tol.
+* A two-input channel, such as the binary class and subclass confusions
+  the label-bit budgets are built from, is solved by a bracketed Newton
+  search on one mass, on Python floats.  Its optimal input puts at least
+  1/e on each input (Majani and Rumsey, "Two results on binary-input
+  discrete memoryless channels", ISIT 1991), so the search stays inside
+  [1/e, 1 - 1/e], where no output empties and no step leaves the simplex.
+* With three or more inputs, numpy runs the loop.  Each iteration tries a
+  Newton step on I over the simplex, restricted to the active inputs.  It
+  keeps the step if it raises I, and returns at once if the step's own
+  bracket already certifies, which near the optimum is often the case
+  while rounding hides the rise in I.  Otherwise it takes the classic
+  Blahut-Arimoto step, which never lowers I.  Newton converges in a few
+  steps where the classic step alone crawls, for example where two rows
+  nearly coincide.
 * An input whose mass reaches 0 leaves the active set.  It comes back when
-  its relative entropy D_x to the output marginal exceeds the current I,
-  because by the KKT conditions an input with no mass at the optimum has
-  D_x <= C.
+  its D_x exceeds the current I, because by the KKT conditions an input
+  with no mass at the optimum has D_x <= C.
 * An input that alone reaches some output keeps mass at the optimum, since
   its D_x grows without bound as that mass vanishes, but the mass can be
   tiny.  A Newton step cut where such an input reaches 0 would empty the
@@ -42,13 +51,6 @@ information I(r) over input distributions r from a uniform start:
   after such a refusal the solver takes NEWTON_PAUSE Blahut-Arimoto steps
   before it tries Newton again.  An input with no mass and D_x above I ends
   the pause early, because only a Newton step can give it mass back.
-* The result is certified, not trusted: for every r the capacity C lies in
-  [I(r), max_x D_x], and the solver stops only when that bracket is
-  narrower than tol.
-* A two-input channel, such as the binary class and subclass confusions
-  the label-bit budgets are built from, is solved on Python floats: on so
-  small an alphabet numpy's per-call cost outweighs the arithmetic.  Three
-  or more inputs use numpy.
 
 Two bounds combine these capacities into label bits per training sample:
 
@@ -64,7 +66,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from math import log, log2
+from math import exp, log, log2
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,8 @@ from .hierarchy import LabelHierarchy
 
 ROW_SUM_TOL = 1e-9
 LN2 = log(2.0)
+# a binary-input channel's optimal input puts at least 1/e on each input
+EXP_M1 = exp(-1.0)
 # Blahut-Arimoto steps taken after a Newton step is refused for emptying an
 # output; the 7x13 channel of the tests then takes 93 Newton steps, not 1553
 NEWTON_PAUSE = 16
@@ -197,11 +201,12 @@ def blahut_arimoto(
     Newton step can give it mass back.  A Blahut-Arimoto step that empties a
     column (an input's mass underflowed) raises ConvergenceError.
 
-    A two-input channel, such as a binary confusion, runs the same algorithm
-    on Python floats (_blahut_arimoto_two_inputs), where numpy's per-call
-    cost would outweigh the arithmetic; three or more inputs use numpy.
+    A two-input channel, such as a binary confusion, takes none of these
+    steps: _blahut_arimoto_two_inputs searches its one free mass inside
+    [1/e, 1 - 1/e] on Python floats, with the same column drop, bracket,
+    stop rule and ConvergenceError.  Three or more inputs use the loop above.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if channel.input_size == 2:
         return _blahut_arimoto_two_inputs(channel.transition, tol, max_iters)
@@ -247,69 +252,56 @@ def blahut_arimoto(
 
 
 def _blahut_arimoto_two_inputs(P, tol, max_iters) -> tuple[float, np.ndarray]:
-    """blahut_arimoto's loop and _newton_step for a 2 x n channel, on Python floats.
+    """blahut_arimoto for a 2 x n channel: a safeguarded Newton search on one mass.
 
-    With two inputs the only direction on the simplex is e_0 - e_1, so the
-    Newton step is one division, with the same 1e-12 ridge and no step when
-    the ridge is 0 (every curvature term underflows, as on rows a subnormal
-    ulp apart).  A step whose own bracket certifies returns at once, and
-    otherwise the step is kept only if I rises.  A step that leaves the
-    simplex is cut where the shrinking input reaches exactly 0, or not taken
-    if that input has no mass already.
-    math.log2 raises on 0 where np.log2 warns, so a marginal with an empty
-    column is never passed to it: such a Newton step is refused, and a
-    Blahut-Arimoto step that empties one raises ConvergenceError.  That
-    needs a product of an input mass and a cell to underflow in both rows,
-    and has not been seen.
+    With r = (1 - x, x), I(x) is concave with slope D_1 - D_0 and second
+    derivative -sum_y (P_0y - P_1y)^2 / (q_y ln 2).  The optimal x lies in
+    [1/e, 1 - 1/e] (Majani and Rumsey; see the module docstring), the
+    search's first interval [lo, hi].  An iteration that does not certify
+    moves lo up to x where the slope is positive, else hi down to x, and
+    takes the Newton point if it lies strictly inside (lo, hi), else the
+    midpoint, as it does when the curvature underflows to 0.  Inside
+    [1/e, 1 - 1/e] every column kept at the uniform start has q > 0, so no
+    output empties and no step leaves the simplex.
+
+    A Newton point at or beyond 0 or 1 needs rows that agree to rounding,
+    where I is flat; the vertex it points to is returned if its own bracket
+    certifies and no output has mass 0 there.
     """
     # a column with no mass at the uniform start (0.5, 0.5) is dropped
     cols = [(a, b) for a, b in zip(*P.tolist()) if 0.5 * a + 0.5 * b > 0.0]
     neg_entropy_0 = sum(a * log2(a) for a, _ in cols if a > 0.0)
     neg_entropy_1 = sum(b * log2(b) for _, b in cols if b > 0.0)
 
-    def at(r0, r1):
-        """(q, D_0, D_1, I) at input (r0, r1), or None if q has an empty column."""
-        q = [r0 * a + r1 * b for a, b in cols]
+    def at(x):
+        """(q, D_0, D_1, I) at input (1 - x, x), or None if q has an empty column."""
+        q = [a + x * (b - a) for a, b in cols]
         if not all(q):
             return None
         log_q = [log2(v) for v in q]
         d0 = neg_entropy_0 - sum(a * lq for (a, _), lq in zip(cols, log_q))
         d1 = neg_entropy_1 - sum(b * lq for (_, b), lq in zip(cols, log_q))
-        return q, d0, d1, r0 * d0 + r1 * d1
+        return q, d0, d1, (1.0 - x) * d0 + x * d1
 
-    r0 = r1 = 0.5
-    q, d0, d1, i_lower = at(r0, r1)
+    lo, hi, x = EXP_M1, 1.0 - EXP_M1, 0.5
     for _ in range(max_iters):
+        q, d0, d1, i_lower = at(x)
         if max(d0, d1) - i_lower < tol:
-            return max(i_lower, 0.0), np.array([r0, r1])
-        # an input with no mass is free only if moving mass onto it raises I
-        if (r0 > 0.0 or d0 > i_lower) and (r1 > 0.0 or d1 > i_lower):
-            curvature = sum((a - b) / v * (a - b) for (a, b), v in zip(cols, q))
-            ridge = 1e-12 * curvature
-            if ridge != 0.0:
-                head = (d0 - d1) * LN2 / (curvature + ridge)
-                step = (r0 + head, r1 - head)
-                if step[0] < 0.0:  # cut where input 0 reaches 0, unless it has no mass
-                    step = (0.0, r1 + r0 / -head * -head) if r0 > 0.0 else None
-                elif step[1] < 0.0:
-                    step = (r0 + r1 / head * head, 0.0) if r1 > 0.0 else None
-                if step is not None:
-                    total = step[0] + step[1]
-                    s0, s1 = step[0] / total, step[1] / total
-                    new = at(s0, s1)
-                    if new is not None:
-                        if max(new[1], new[2]) - new[3] < tol:  # certified, whether or not I rose
-                            return max(new[3], 0.0), np.array([s0, s1])
-                        if new[3] > i_lower:
-                            r0, r1 = s0, s1
-                            q, d0, d1, i_lower = new
-                            continue
-        w0, w1 = r0 * 2.0**d0, r1 * 2.0**d1
-        r0, r1 = w0 / (w0 + w1), w1 / (w0 + w1)
-        new = at(r0, r1)
-        if new is None:
-            raise ConvergenceError("a Blahut-Arimoto step emptied an output column")
-        q, d0, d1, i_lower = new
+            return max(i_lower, 0.0), np.array([1.0 - x, x])
+        if d1 > d0:  # I rises with x
+            lo = x
+        else:
+            hi = x
+        # |a - b| / q <= e inside [1/e, 1 - 1/e], so no term overflows; all can underflow
+        curvature = sum((a - b) / v * (a - b) for (a, b), v in zip(cols, q))
+        # x is now lo or hi, so a curvature of 0 takes the midpoint below
+        newton = x + (d1 - d0) * LN2 / curvature if curvature else x
+        if not 0.0 < newton < 1.0:
+            vertex = float(newton >= 1.0)
+            new = at(vertex)
+            if new is not None and max(new[1], new[2]) - new[3] < tol:
+                return max(new[3], 0.0), np.array([1.0 - vertex, vertex])
+        x = newton if lo < newton < hi else 0.5 * (lo + hi)
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
 
 
@@ -330,12 +322,10 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     directions and this curvature vanishes; a ridge of 1e-12 of the trace
     makes such a step very long, and the step is then cut where the first
     mass reaches 0, which is the best point on that line.  Only channels with
-    three or more inputs come here (two-input channels take the same step in
-    _blahut_arimoto_two_inputs).  With two free inputs (three or more
-    inputs, two of them free) there is one direction and the system is 1x1,
-    solved by one division; larger systems take an LU solve.  When every
-    input has mass, P, D and r are used as they are, without gathering the
-    free rows.
+    three or more inputs come here (_blahut_arimoto_two_inputs searches
+    two-input channels).  The system is solved by LU, also when two inputs
+    are free and it is 1x1.  When every input has mass, P, D and r are used
+    as they are, without gathering the free rows.
 
     If the full step leaves the simplex, a zero-mass input it would push
     below 0 is dropped from the free set and the step is solved again;
@@ -352,16 +342,11 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     while len(r_free) > 1:
         B = A[:-1] - A[-1]
         H = (B / q) @ B.T
-        one_direction = len(H) == 1
-        ridge = 1e-12 * (H[0, 0] if one_direction else H.trace())
+        ridge = 1e-12 * H.trace()
         if ridge == 0.0:  # identical free rows: no direction changes I
             return None
-        rhs = (g[:-1] - g[-1]) * np.log(2.0)
-        if one_direction:
-            head = rhs / (H[0, 0] + ridge)
-        else:
-            H.flat[:: len(H) + 1] += ridge
-            head = np.linalg.solve(H, rhs)
+        H.flat[:: len(H) + 1] += ridge
+        head = np.linalg.solve(H, (g[:-1] - g[-1]) * np.log(2.0))
         if not np.isfinite(head).all():  # 1 / q overflowed on an output with almost no mass
             return None
         d = np.concatenate((head, -head.sum(keepdims=True)))

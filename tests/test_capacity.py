@@ -208,6 +208,14 @@ class TestBlahutArimoto:
         cap, dist = blahut_arimoto(ch)
         assert mutual_information(dist, ch) == pytest.approx(cap, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tol_must_be_positive(self, n, tol):
+        # NaN fails every comparison, so it must not slip past the check and run
+        # all max_iters iterations before raising
+        with pytest.raises(ValueError, match="tol must be positive"):
+            blahut_arimoto(qsc_channel(n, 0.7), tol=tol)
+
     def test_iteration_budget_enforced(self):
         ch = ChannelSpec(np.random.default_rng(0).dirichlet(np.ones(5), size=4))
         with pytest.raises(ConvergenceError):
@@ -344,11 +352,15 @@ class TestBlahutArimoto:
     def test_agrees_with_bac_closed_form(self):
         rng = np.random.default_rng(23)
         for p0, p1 in rng.uniform(0.01, 1.0, size=(300, 2)):
-            cap, _ = blahut_arimoto(bac_channel(p0, p1))
+            cap, r = blahut_arimoto(bac_channel(p0, p1))
             assert cap == pytest.approx(bac_capacity(p0, p1), abs=1e-9)
+            if cap > 1e-3:  # below it the optimum is too flat to pin r
+                assert r[int(p1 < p0)] == pytest.approx(bac_optimal_input(p0, p1), abs=1e-6)
+                # a binary-input channel's optimal input puts at least 1/e on each input
+                assert math.exp(-1.0) <= r.min() and r.max() <= 1.0 - math.exp(-1.0)
 
     def test_binary_channels_need_no_linear_solve(self, monkeypatch):
-        # two free inputs give a 1x1 Newton system, which is solved by a division
+        # a two-input channel is solved by a search on one mass, with no linear system
         def no_solve(*args, **kwargs):
             raise AssertionError("np.linalg.solve called on a binary channel")
 
@@ -363,7 +375,7 @@ class TestBlahutArimoto:
             assert cap == pytest.approx(i_lower, abs=1e-12)
 
     def test_two_input_channels_need_no_numpy_newton_step(self, monkeypatch):
-        # a 2 x n channel runs on Python floats, with its own one-direction Newton step
+        # a 2 x n channel runs on Python floats, with its own search on one mass
         def no_newton(*args, **kwargs):
             raise AssertionError("_newton_step called on a two-input channel")
 
@@ -393,15 +405,26 @@ class TestBlahutArimoto:
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
     def test_two_input_step_is_cut_where_an_input_reaches_zero(self, order):
-        # with a tol below rounding, the Newton step overshoots the simplex on rows
-        # that differ by 5e-17; it stops at exactly 0, where the bracket certifies
+        # with a tol below rounding, the Newton point lies beyond the simplex on rows
+        # that differ by 5e-17; the vertex it points to, with a mass of exactly 0,
+        # is where the bracket certifies
         P = np.array([[1e-17, 1.0], [6e-17, 1.0 - 6e-17]])[order]
         cap, r = blahut_arimoto(ChannelSpec(P), tol=1e-18, max_iters=2)
         assert sorted(r.tolist()) == [0.0, 1.0] and cap == 0.0
 
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_two_input_vertex_with_an_empty_column_is_not_tried(self, order):
+        # as above, but the vertex the Newton point aims at has no mass on output 2,
+        # whose log2 q would fail; the search goes on inside instead
+        P = np.array([[1e-17, 1.0, 0.0], [6e-17, 1.0 - 6e-17, 1e-20]])[order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="no convergence within 50 iterations"):
+                blahut_arimoto(ChannelSpec(P), tol=1e-18, max_iters=50)
+
     def test_two_input_step_that_certifies_is_kept(self):
-        # near the optimum the Newton step's rise in I is below one ulp; the step
-        # is kept because its own bracket certifies (16 iterations when refused)
+        # near the optimum the Newton step's rise in I is below one ulp, and its
+        # point is returned because its own bracket certifies
         P = [[0.5882068026622195, 0.4117931973377805], [0.9998136202227313, 0.00018637977726865262]]
         cap, r = blahut_arimoto(ChannelSpec(P), max_iters=5)
         i_lower, i_upper = _bracket(ChannelSpec(P), r)
@@ -410,7 +433,8 @@ class TestBlahutArimoto:
 
     def test_two_input_newton_step_needs_curvature(self):
         # rows 1 subnormal ulp apart: each curvature term underflows to 0, so no Newton
-        # step is taken, while rounding keeps the bracket open at tol = 5e-324
+        # step is taken and no vertex is tried, while rounding keeps the bracket open
+        # at tol = 5e-324
         P = [[10 * 5e-324, 1.0], [11 * 5e-324, 1.0]]
         with pytest.raises(ConvergenceError, match="no convergence within 3 iterations"):
             blahut_arimoto(ChannelSpec(P), tol=5e-324, max_iters=3)
@@ -564,7 +588,9 @@ class TestZChannelCapacity:
         assert got == pytest.approx(0.321928, abs=1e-6)
 
     def test_against_blahut_arimoto(self):
-        for p in (0.1, 0.3, 0.5, 0.8, 0.95):
+        # at 0.999 and 1 - 1e-6 the optimal mass on the flipping input lies 4.9e-5
+        # and 2.6e-8 above 1/e, the end of the two-input search interval
+        for p in (0.1, 0.3, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-6):
             oracle, _ = blahut_arimoto(z_channel(p))
             assert z_channel_capacity(p) == pytest.approx(oracle, abs=1e-8)
 
