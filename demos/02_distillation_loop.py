@@ -11,46 +11,41 @@ level; the minority class (class 0) F1 is the headline number.
 from dataclasses import replace
 
 from skdlab import (
-    DistillConfig,
-    SyntheticSpec,
-    build_task_preset,
+    ExperimentConfig,
     evaluate,
     generate_synthetic,
     split_dataset,
-    student_train_config,
-    teacher_train_config,
     train_student,
     train_teacher,
 )
 
+# The SL22 headline experiment's settings, at its first seed: ExperimentConfig
+# holds the subclass counts, difficulties, split, network configs and the
+# distillation settings.
 SEED = 1000
-hierarchy = build_task_preset("SL22")
-spec = SyntheticSpec(
-    hierarchy=hierarchy,
-    samples_per_subclass=(248, 248, 540, 540),
-    difficulty=(0.2, 0.8, 0.2, 0.8),
-    feature_dim=2,
-    seed=SEED,
-)
-train, test = split_dataset(generate_synthetic(spec), 0.5, SEED)
+cfg = ExperimentConfig()
+spec = cfg.data_spec(SEED)
+hierarchy = spec.hierarchy
+train, test = split_dataset(generate_synthetic(spec), cfg.train_fraction, SEED)
 print(f"train {len(train)} samples, test {len(test)} samples")
 
 # Two teachers share one config; only the label level differs. The subclass
 # teacher has four outputs, the class teacher two.
-tcfg = teacher_train_config(seed=SEED)
+tcfg = replace(cfg.teacher, seed=SEED)
 teacher_class = train_teacher(train, hierarchy, tcfg, label_level="class")
 teacher_sub = train_teacher(train, hierarchy, tcfg, label_level="subclass")
 print(f"teacher parameters: {teacher_sub.network.params.size}")
 
 # Students share one small config; the distill mode decides the output
-# width, the loss, and whether a teacher joins in. tau softens both sides
-# of the distillation term; lam balances labels against the teacher.
-scfg = student_train_config(seed=SEED)
+# width, the loss, and whether a teacher joins in. tau, set per mode,
+# softens both sides of the distillation term; lam balances labels against
+# the teacher.
+scfg = replace(cfg.student, seed=SEED)
 
 
-def student(mode, tau=1.0, teacher=None):
-    cfg = replace(scfg, distill=DistillConfig(mode=mode, tau=tau, lam=0.45))
-    return train_student(train, hierarchy, cfg, teacher=teacher)
+def student(mode, teacher=None):
+    distill = cfg.distill_config(mode)
+    return train_student(train, hierarchy, replace(scfg, distill=distill), teacher=teacher)
 
 
 runs = {
@@ -58,8 +53,8 @@ runs = {
     "teacher (class)": (teacher_class, "class"),
     "student baseline": (student("baseline"), "class"),
     "student subclass": (student("subclass"), "subclass"),
-    "student conventional KD": (student("kd", tau=128.0, teacher=teacher_class.network), "class"),
-    "student subclass KD": (student("skd", tau=5.0, teacher=teacher_sub.network), "subclass"),
+    "student conventional KD": (student("kd", teacher_class.network), "class"),
+    "student subclass KD": (student("skd", teacher_sub.network), "subclass"),
 }
 
 print(f"\n{'variant':26s} {'params':>7s} {'minority F1':>12s} {'macro F1':>9s}")

@@ -13,8 +13,8 @@ import numpy as np
 
 from skdlab import (
     DetectionParams,
+    ExperimentConfig,
     HierarchyBitsParams,
-    SyntheticSpec,
     bac_capacity,
     bac_channel,
     bac_optimal_input,
@@ -31,7 +31,6 @@ from skdlab import (
     qsc_capacity,
     qsc_channel,
     split_dataset,
-    teacher_train_config,
     train_teacher,
     write_bits_csv,
     z_channel,
@@ -68,11 +67,13 @@ print(f"detection bound:       class {det.class_bits:.6f} "
       f"+ subclass {det.subclass_bits:.6f} = {det.total_bits:.6f} bits/sample")
 
 # --- bounds fitted from an actual model -----------------------------------
+# The data and teacher are the SL22 headline experiment's, at its first seed.
 SEED = 1000
-sl22 = build_task_preset("SL22")
-spec = SyntheticSpec(sl22, (248, 248, 540, 540), (0.2, 0.8, 0.2, 0.8), 2, SEED)
-train, test = split_dataset(generate_synthetic(spec), 0.5, SEED)
-teacher = train_teacher(train, sl22, teacher_train_config(seed=SEED)).network
+cfg = ExperimentConfig()
+spec = cfg.data_spec(SEED)
+sl22 = spec.hierarchy
+train, test = split_dataset(generate_synthetic(spec), cfg.train_fraction, SEED)
+teacher = train_teacher(train, sl22, replace(cfg.teacher, seed=SEED)).network
 
 metrics = evaluate(teacher, test, sl22, "subclass")
 sub_confs = per_class_subclass_confusions(teacher, test, sl22)

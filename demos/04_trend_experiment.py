@@ -33,7 +33,7 @@ print(f"\nsubclass distillation vs baseline student: "
       f"{(skd - base) * 100:+.2f} minority-F1 points")
 
 # Reports are deterministic byte for byte; only run.log carries wall-clock
-# timestamps. Rerun this script and diff the outputs to check.
+# timings. Rerun this script and diff the outputs to check.
 paths = write_experiment_report(report, "demo_experiment", timings)
 for key, p in paths.items():
     print(f"wrote {p}")

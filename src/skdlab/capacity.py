@@ -172,39 +172,35 @@ def blahut_arimoto(
 
     Ascent on I(r) from a uniform input.  Each iteration brackets the
     capacity between I(r) = sum(r * D) and max(D), where D_x is the relative
-    entropy between row x and the current output marginal q = r P; iteration
-    stops when the bracket is tighter than tol.  The bracket holds for every
-    input distribution, so it certifies the result however r was reached.
+    entropy between row x and the output marginal q = r P, and stops when
+    the bracket is tighter than tol.  The bracket holds for every input
+    distribution, so it certifies the result however r was reached.
 
-    Each iteration first tries a Newton step (see _newton_step).  If the
-    step's own bracket is tighter than tol, its point is returned at once,
-    whether or not I rose: near the optimum the rise is often below one ulp
-    of I.  Otherwise the step is kept if it raises I.  Failing that, the
-    iteration takes the Blahut-Arimoto step r <- r * 2^D / sum(r * 2^D),
-    which never lowers I.  The Newton step may set an input's mass to
-    exactly 0; the Blahut-Arimoto step keeps zeros at zero and every
-    positive mass positive.  The bracket is computed once per iteration and
-    carried forward: a kept Newton step brings the values its acceptance
-    test computed, and a Blahut-Arimoto step computes its own.
+    D_x is computed as sum_y P log2 P - sum_y P log2 q; the first sum, the
+    row's negative entropy (0 log 0 = 0), is computed once per call.  A
+    column with no mass at the uniform start is dropped first: it is zero in
+    every row, or its mass underflows to 0 and it carries under 1e-320 bits.
+    One local helper then evaluates (q, D, I, max D) at a point, or returns
+    None where an output has no mass and log2 q would be -inf.  It runs at
+    the uniform start, at each Newton point and after each Blahut-Arimoto
+    step, and the values of the point kept are carried to the next
+    iteration.
 
-    D_x is computed as sum_y P log2 P - sum_y P log2 q.  The first sum, the
-    row's negative entropy (0 log 0 = 0), does not depend on r, so it is
-    computed once per call.  A column with no mass at the uniform start is
-    dropped first: it is zero in every row, or its mass underflows to 0 and
-    it carries under 1e-320 bits.  Every kept column has q > 0 at the
-    uniform start, and so log2 q is always finite and D needs no mask.  A
-    Newton step that would empty a column is refused: it was cut where the
-    only input reaching that column ran out of mass.  While that input's
-    mass shrinks the next Newton steps tend to be cut there too, so the
-    following NEWTON_PAUSE iterations take Blahut-Arimoto steps without
-    trying Newton, unless an input with no mass has D_x above I(r): only a
-    Newton step can give it mass back.  A Blahut-Arimoto step that empties a
-    column (an input's mass underflowed) raises ConvergenceError.
+    Each iteration first tries a Newton step (see _newton_step).  Its point
+    is returned at once if its own bracket is tighter than tol, whether or
+    not I rose: near the optimum the rise is often below one ulp of I.
+    Otherwise it is kept if it raises I.  A Newton point that empties an
+    output is refused, and the next NEWTON_PAUSE iterations skip Newton
+    unless an input with no mass has D_x above I(r) (see the module
+    docstring).  An iteration that keeps no Newton point takes the
+    Blahut-Arimoto step r <- r * 2^D / sum(r * 2^D), which never lowers I
+    and keeps zeros at zero; one that empties an output (an input's mass
+    underflowed) raises ConvergenceError.
 
     A two-input channel, such as a binary confusion, takes none of these
     steps: _blahut_arimoto_two_inputs searches its one free mass inside
     [1/e, 1 - 1/e] on Python floats, with the same column drop, bracket,
-    stop rule and ConvergenceError.  Three or more inputs use the loop above.
+    stop rule and ConvergenceError.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
@@ -216,38 +212,40 @@ def blahut_arimoto(
     q = r @ P
     if not q.all():
         P = P[:, q > 0]
-        q = r @ P
     neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
-    D = neg_entropy - P @ np.log2(q)
-    i_lower, i_upper = float(r @ D), float(D.max())
+
+    def at(r):
+        """(q, D, I, max D) at input r, or None if q has an empty column."""
+        q = r @ P
+        if not q.all():  # an emptied column would give some D_x = +inf
+            return None
+        D = neg_entropy - P @ np.log2(q)
+        return q, D, float(r @ D), float(D.max())
+
+    q, D, i_lower, i_upper = at(r)
     pause = 0  # iterations left that skip the Newton step
     for _ in range(max_iters):
         if i_upper - i_lower < tol:
             return max(i_lower, 0.0), r
         if pause and not (D[r == 0.0] > i_lower).any():
             pause -= 1
-            r_new = None
         else:
             r_new = _newton_step(P, q, D, r, i_lower)
-        if r_new is not None:
-            q_new = r_new @ P
-            if q_new.all():  # an emptied column would give some D_x = +inf
-                D_new = neg_entropy - P @ np.log2(q_new)
-                i_new, i_upper_new = float(r_new @ D_new), float(D_new.max())
-                if i_upper_new - i_new < tol:  # certified, even where rounding hides the rise in I
-                    return max(i_new, 0.0), r_new
-                if i_new > i_lower:
-                    r, q, D, i_lower, i_upper = r_new, q_new, D_new, i_new, i_upper_new
+            if r_new is not None:
+                new = at(r_new)
+                if new is None:  # refused: the step emptied an output
+                    pause = NEWTON_PAUSE
+                elif new[3] - new[2] < tol:  # certified, even where rounding hides the rise in I
+                    return max(new[2], 0.0), r_new
+                elif new[2] > i_lower:
+                    r, (q, D, i_lower, i_upper) = r_new, new
                     continue
-            else:
-                pause = NEWTON_PAUSE
         r = r * np.exp2(D)
         r = r / r.sum()
-        q = r @ P
-        if not q.all():  # an input's mass underflowed
+        new = at(r)
+        if new is None:  # an input's mass underflowed
             raise ConvergenceError("a Blahut-Arimoto step emptied an output column")
-        D = neg_entropy - P @ np.log2(q)
-        i_lower, i_upper = float(r @ D), float(D.max())
+        q, D, i_lower, i_upper = new
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
 
 
@@ -311,9 +309,8 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     The gradient of I is D_x - 1/ln 2 and its Hessian is
     -(1/ln 2) sum_y P_xy P_x'y / q_y.  The free inputs are those with mass,
     plus the zero-mass inputs with D_x above the lower bound I(r): moving
-    mass onto such an input raises I.  By the KKT conditions an input with no
-    mass at the optimum has D_x <= C, so that rule readmits every input the
-    optimum needs.
+    mass onto such an input raises I.  Their rows of P, D and r are
+    gathered, and the step is scattered back with 0 on every other input.
 
     The step keeps sum(r) = 1 by moving mass between each free input and the
     last one, whose direction e_x - e_last has curvature
@@ -321,25 +318,20 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     cancels.  Where rows are linearly dependent I is linear along some
     directions and this curvature vanishes; a ridge of 1e-12 of the trace
     makes such a step very long, and the step is then cut where the first
-    mass reaches 0, which is the best point on that line.  Only channels with
-    three or more inputs come here (_blahut_arimoto_two_inputs searches
-    two-input channels).  The system is solved by LU, also when two inputs
-    are free and it is 1x1.  When every input has mass, P, D and r are used
-    as they are, without gathering the free rows.
+    mass reaches 0, which is the best point on that line.  The system is
+    solved by LU, also when two inputs are free and it is 1x1.
 
     If the full step leaves the simplex, a zero-mass input it would push
     below 0 is dropped from the free set and the step is solved again;
     otherwise the step is cut where the first mass reaches 0, and that input
     is set to exactly 0, leaving the active set.  Returns None when fewer
-    than two inputs are free, because then no step stays on the simplex, and
-    when an output's mass is so small that 1 / q overflows.
+    than two inputs are free, because then no step stays on the simplex,
+    when the free rows are identical, so no direction changes I, and when an
+    output's mass is so small that 1 / q overflows.
     """
-    if r.all():  # every input has mass, the common case: no gathers, no scatter
-        free, A, g, r_free = None, P, D, r
-    else:
-        free = np.flatnonzero((r > 0) | (D > i_lower))
+    free = np.flatnonzero((r > 0) | (D > i_lower))
+    while len(free) > 1:
         A, g, r_free = P[free], D[free], r[free]
-    while len(r_free) > 1:
         B = A[:-1] - A[-1]
         H = (B / q) @ B.T
         ridge = 1e-12 * H.trace()
@@ -355,9 +347,8 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
             break
         shrink = d < 0
         stuck = shrink & (r_free == 0)
-        if stuck.any():  # some input has no mass, so free is an index array
-            keep = ~stuck
-            free, A, g, r_free = free[keep], A[keep], g[keep], r_free[keep]
+        if stuck.any():
+            free = free[~stuck]
             continue
         ratios = r_free[shrink] / -d[shrink]
         j = ratios.argmin()
@@ -366,12 +357,9 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
         break
     else:
         return None
-    step = np.maximum(step, 0.0)
-    if free is not None:
-        r_new = np.zeros(len(r))
-        r_new[free] = step
-        step = r_new
-    return step / step.sum()
+    r_new = np.zeros(len(r))
+    r_new[free] = np.maximum(step, 0.0)
+    return r_new / r_new.sum()
 
 
 def qsc_capacity(n: int, p: float) -> float:

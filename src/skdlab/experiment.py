@@ -145,8 +145,8 @@ def _seed_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, dict, Optiona
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str]]:
     """Run all seeds and build the report dict plus timing log lines.
 
-    The report contains no timestamps; timings are returned separately so
-    they can be written to a sidecar log.
+    The report contains no timings; each seed's wall-clock time is returned
+    as a line "seed=<s> wall_clock_s=<t>", to be written to a sidecar log.
     """
     if cfg.n_seeds < 2:
         raise ValueError("n_seeds must be at least 2")
@@ -168,10 +168,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
     if len(per_seed) < 2:
         detail = "; ".join(f"seed {f['seed']}: {f['error']}" for f in failures)
         raise RuntimeError(f"fewer than two seeds completed: {detail}")
-    timings = [
-        f"{time.strftime('%Y-%m-%dT%H:%M:%S')} seed={seed} wall_clock_s={elapsed:.3f}"
-        for seed, _, _, elapsed in raw
-    ]
+    timings = [f"seed={seed} wall_clock_s={elapsed:.3f}" for seed, _, _, elapsed in raw]
 
     summary: dict[str, dict] = {}
     for name in VARIANTS:
@@ -196,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
 def write_experiment_report(report: dict, out_dir, timings=None) -> dict[str, Path]:
     """Write report.json, summary.csv, per_seed.csv, and an optional run.log.
 
-    Only run.log carries timestamps; the other three files are
+    Only run.log carries timings; the other three files are
     byte-identical across repeat runs with the same config.
     """
     out = Path(out_dir)

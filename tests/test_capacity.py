@@ -222,8 +222,8 @@ class TestBlahutArimoto:
             blahut_arimoto(ch, tol=1e-14, max_iters=1)
 
     def test_identical_rows_with_a_tol_below_rounding(self):
-        # I(r) = 0 for every r, but rounding leaves the first bracket a few ulps
-        # wide, which tol = 1e-300 rejects; the Newton step has no direction here
+        # I(r) = 0 for every r, and here every D_x rounds to exactly 0 at the
+        # uniform start, so the first bracket certifies even tol = 1e-300
         P = np.tile([0.32659861550674013, 0.25049337513525005, 0.42290800935800976], (7, 1))
         cap, _ = blahut_arimoto(ChannelSpec(P), tol=1e-300, max_iters=3)
         assert cap == 0.0
@@ -293,22 +293,52 @@ class TestBlahutArimoto:
         assert i_upper - i_lower < 1e-10 and r[1] > 0.0
 
     @staticmethod
-    def _count_newton_steps(monkeypatch):
+    def _record_newton_steps(monkeypatch):
+        """Each _newton_step call's (q, returned step)."""
         calls = []
         newton_step = capacity._newton_step
 
-        def counted(*args):
-            calls.append(1)
-            return newton_step(*args)
+        def recorded(P, q, D, r, i_lower):
+            step = newton_step(P, q, D, r, i_lower)
+            calls.append((q, step))
+            return step
 
-        monkeypatch.setattr(capacity, "_newton_step", counted)
+        monkeypatch.setattr(capacity, "_newton_step", recorded)
         return calls
+
+    def test_identical_rows_give_no_newton_direction(self, monkeypatch):
+        # rounding leaves every D_x 1.1e-16 and the first bracket a few ulps wide,
+        # which tol = 1e-300 rejects; the free rows are identical, so the Newton
+        # system has a zero trace and no step, and the Blahut-Arimoto step certifies
+        calls = self._record_newton_steps(monkeypatch)
+        P = np.tile([0.12835567428051406, 0.8716443257194859], (7, 1))
+        cap, _ = blahut_arimoto(ChannelSpec(P), tol=1e-300, max_iters=3)
+        assert cap == 0.0
+        assert [step for _, step in calls] == [None]
+
+    def test_newton_system_that_overflows_gives_no_step(self, monkeypatch):
+        # input 1 alone reaches output 0, with P = 3e-5, and Blahut-Arimoto steps
+        # shrink its mass below the smallest double.  Once 1 / q_0 overflows, the
+        # Newton system has no finite solution and gives no step, and the
+        # emptied output ends the call
+        calls = self._record_newton_steps(monkeypatch)
+        P = [
+            [0.0, 0.16, 0.03, 0.81],
+            [3e-05, 0.31, 0.2, 0.48997],
+            [0.0, 0.27, 0.49, 0.24],
+            [0.0, 0.24, 0.23, 0.53],
+            [0.0, 0.31, 0.41, 0.28],
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="emptied an output column"):
+                blahut_arimoto(ChannelSpec(P))
+            assert any(step is None and not np.isfinite(1.0 / q).all() for q, step in calls)
 
     def test_vanishing_input_pauses_newton(self, monkeypatch):
         # nearly every Newton step is cut where input 4 reaches 0 and refused for
         # emptying output 0; without the pause after a refusal every iteration
         # tried one, 1553 in all
-        calls = self._count_newton_steps(monkeypatch)
+        calls = self._record_newton_steps(monkeypatch)
         ch = ChannelSpec(VANISHING_INPUT_CHANNEL)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -323,7 +353,7 @@ class TestBlahutArimoto:
         # input 2 alone reaches output 0.  8 Newton steps, with P as given or as a
         # non-contiguous copy; 50 before the pause.  The count hangs on the last bit
         # of P @ log2(q), so another BLAS may round its way to a step or two more.
-        calls = self._count_newton_steps(monkeypatch)
+        calls = self._record_newton_steps(monkeypatch)
         ch = ChannelSpec([[0, 0.9, 0.1], [0, 0.1, 0.9], [0.05, 0.5, 0.45]])
         cap, r = blahut_arimoto(ch)
         assert len(calls) <= 10
@@ -334,7 +364,8 @@ class TestBlahutArimoto:
         # input 4 alone reaches output 2, with P = 5.4e-6, and Blahut-Arimoto steps
         # shrink its mass below the smallest double.  On the way 1 / q overflows in
         # the Newton system, which used to surface as a ValueError from an empty
-        # argmin; it now gives no Newton step, and the emptied output ends the call
+        # argmin; its steps now zero input 4 and are refused, or move no mass, and
+        # the emptied output ends the call
         P = [
             [0.03, 0.02, 0.0, 0.95],
             [0.32, 0.52, 0.0, 0.15999999999999992],
@@ -404,7 +435,7 @@ class TestBlahutArimoto:
             blahut_arimoto(bac_channel(0.9, 0.7), max_iters=1)
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
-    def test_two_input_step_is_cut_where_an_input_reaches_zero(self, order):
+    def test_two_input_vertex_that_certifies_is_returned(self, order):
         # with a tol below rounding, the Newton point lies beyond the simplex on rows
         # that differ by 5e-17; the vertex it points to, with a mass of exactly 0,
         # is where the bracket certifies
@@ -422,7 +453,7 @@ class TestBlahutArimoto:
             with pytest.raises(ConvergenceError, match="no convergence within 50 iterations"):
                 blahut_arimoto(ChannelSpec(P), tol=1e-18, max_iters=50)
 
-    def test_two_input_step_that_certifies_is_kept(self):
+    def test_two_input_point_that_certifies_is_returned(self):
         # near the optimum the Newton step's rise in I is below one ulp, and its
         # point is returned because its own bracket certifies
         P = [[0.5882068026622195, 0.4117931973377805], [0.9998136202227313, 0.00018637977726865262]]

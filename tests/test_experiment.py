@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,22 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="fewer than two seeds"):
             run_experiment(tiny_config())
 
+    def test_diverging_training_fails_every_seed(self):
+        # a teacher learning rate of 1e300 overflows the first Adam step, so backward
+        # finds a non-finite loss on the next batch of each seed
+        cfg = ExperimentConfig(
+            n_seeds=2,
+            teacher=teacher_train_config(epochs=1, learning_rate=1e300),
+            student=student_train_config(epochs=1),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError) as info:
+                run_experiment(cfg)
+        assert str(info.value) == (
+            "fewer than two seeds completed: seed 1000: FloatingPointError: non-finite loss; "
+            "seed 1001: FloatingPointError: non-finite loss"
+        )
+
     def test_non_numerical_errors_propagate(self, monkeypatch):
         real = run_single_seed
 
@@ -196,6 +213,18 @@ class TestReportFiles:
 
         per_seed_lines = (first / "per_seed.csv").read_text().splitlines()
         assert len(per_seed_lines) == 1 + 3 * len(VARIANTS)
+
+    def test_log_has_one_timing_line_per_seed(self, tmp_path):
+        cfg = tiny_config(
+            n_seeds=2, teacher=teacher_train_config(epochs=1), student=student_train_config(epochs=1)
+        )
+        report, timings = run_experiment(cfg)
+        write_experiment_report(report, tmp_path, timings)
+        lines = (tmp_path / "run.log").read_text().splitlines()
+        matches = [re.fullmatch(r"seed=(\d+) wall_clock_s=(\d+\.\d{3})", line) for line in lines]
+        assert all(matches), lines
+        assert [int(m[1]) for m in matches] == [5, 6]
+        assert all(float(m[2]) > 0.0 for m in matches)
 
     def test_log_omitted_without_timings(self, tmp_path):
         report, _ = run_experiment(tiny_config())

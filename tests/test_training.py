@@ -205,6 +205,16 @@ class TestStudentModes:
         assert len(split[0]) % 16 and calls == {"backward": steps, "optimizer_step": steps}
 
 
+class TestDivergence:
+    def test_non_finite_loss_raises(self, split):
+        # a learning rate of 1e300 overflows the first Adam step, so backward finds
+        # a non-finite loss on the next batch
+        cfg = student_train_config(seed=1, epochs=1, learning_rate=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^non-finite loss$"):
+                train_student(split[0], SL22, cfg)
+
+
 class TestSeparability:
     def test_teacher_fits_well_separated_clusters(self):
         # difficulty 0 puts six standard deviations between paired centers,
