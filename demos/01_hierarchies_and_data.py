@@ -8,15 +8,8 @@ train/test split. Run from the repository root:
 """
 import numpy as np
 
-from skdlab import (
-    SyntheticSpec,
-    TASK_PRESETS,
-    auto_centers,
-    build_task_preset,
-    generate_synthetic,
-    separation,
-    split_dataset,
-)
+from skdlab.data import SyntheticSpec, auto_centers, generate_synthetic, separation, split_dataset
+from skdlab.hierarchy import TASK_PRESETS, build_task_preset
 
 # Every task preset names a subclass count per class. SL22 is the workhorse:
 # two classes, each split into one easy and one hard subclass.

@@ -10,14 +10,9 @@ level; the minority class (class 0) F1 is the headline number.
 """
 from dataclasses import replace
 
-from skdlab import (
-    ExperimentConfig,
-    evaluate,
-    generate_synthetic,
-    split_dataset,
-    train_student,
-    train_teacher,
-)
+from skdlab.data import generate_synthetic, split_dataset
+from skdlab.experiment import ExperimentConfig
+from skdlab.training import evaluate, train_student, train_teacher
 
 # The SL22 headline experiment's settings, at its first seed: ExperimentConfig
 # holds the subclass counts, difficulties, split, network configs and the

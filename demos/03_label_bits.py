@@ -11,31 +11,28 @@ from dataclasses import replace
 
 import numpy as np
 
-from skdlab import (
+from skdlab.capacity import (
     DetectionParams,
-    ExperimentConfig,
     HierarchyBitsParams,
     bac_capacity,
     bac_channel,
     bac_optimal_input,
     blahut_arimoto,
-    build_task_preset,
     confusion_to_channel,
     counts_from_confusions,
     detection_bits_bound,
-    evaluate,
-    generate_synthetic,
     hierarchy_bits_bound,
     label_bits_report,
-    per_class_subclass_confusions,
     qsc_capacity,
     qsc_channel,
-    split_dataset,
-    train_teacher,
     write_bits_csv,
     z_channel,
     z_channel_capacity,
 )
+from skdlab.data import generate_synthetic, split_dataset
+from skdlab.experiment import ExperimentConfig
+from skdlab.hierarchy import build_task_preset
+from skdlab.training import evaluate, per_class_subclass_confusions, train_teacher
 
 # --- closed forms vs the iterative oracle --------------------------------
 print("channel            closed form   blahut-arimoto")

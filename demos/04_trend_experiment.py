@@ -11,7 +11,7 @@ The full thirty-seed run takes under a minute:
 
     skdlab experiment -c config.ini -o results/ --jobs 4
 """
-from skdlab import run_experiment, sl22_trend_config, write_experiment_report
+from skdlab.experiment import run_experiment, sl22_trend_config, write_experiment_report
 
 # Ten seeds instead of thirty keep this demo under ten seconds. The data
 # scale and schedules stay at their defaults: shrinking the dataset starves

@@ -237,9 +237,11 @@ def cmd_train(args) -> int:
     if args.role == "teacher":
         if args.mode is not None or args.teacher is not None:
             raise ValueError("--mode and --teacher apply only to --role student")
-        result = train_teacher(train_set, hierarchy, replace(cfg.teacher, seed=seed), args.labels)
-        level, mode = args.labels, None
+        level, mode = args.labels or "subclass", None
+        result = train_teacher(train_set, hierarchy, replace(cfg.teacher, seed=seed), level)
     else:
+        if args.labels is not None:
+            raise ValueError("--labels applies only to --role teacher")
         if args.mode is None:
             raise ValueError("--role student requires --mode")
         distill = cfg.distill_config(args.mode)
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--data", required=True, help="directory from `skdlab generate`")
     p.add_argument("--role", required=True, choices=("teacher", "student"))
-    p.add_argument("--labels", choices=("class", "subclass"), default="subclass",
+    p.add_argument("--labels", choices=("class", "subclass"),
                    help="teacher label level (default subclass)")
     p.add_argument("--mode", choices=STUDENT_MODES, help="student training mode")
     p.add_argument("--teacher", help="teacher checkpoint (kd/skd modes)")

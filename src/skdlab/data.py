@@ -51,7 +51,8 @@ class SyntheticSpec:
     """Recipe for one synthetic dataset, its centers in the tiered auto layout.
 
     difficulty may be a scalar applied to every subclass or a per-subclass
-    sequence.
+    sequence.  centers is not a parameter: auto_centers places it when the spec
+    is built.
     """
 
     hierarchy: LabelHierarchy
@@ -59,6 +60,7 @@ class SyntheticSpec:
     difficulty: tuple[float, ...]
     feature_dim: int
     seed: int
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = self.hierarchy.total_subclasses
@@ -84,6 +86,10 @@ class SyntheticSpec:
         object.__setattr__(self, "difficulty", diff)
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
+        # built here, so a layout that cannot be placed fails before any sample is drawn
+        object.__setattr__(
+            self, "centers", auto_centers(self.hierarchy, diff, self.feature_dim)
+        )
 
 
 def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.ndarray:
@@ -163,13 +169,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     independent PRNG stream keyed by (seed, j), so results do not depend on
     generation order or on the counts of other subclasses.
     """
-    centers = auto_centers(spec.hierarchy, spec.difficulty, spec.feature_dim)
     feats, subs = [], []
     for j, n in enumerate(spec.samples_per_subclass):
         if n == 0:
             continue
         rng = np.random.default_rng([spec.seed, j])
-        feats.append(rng.standard_normal((n, spec.feature_dim)) + centers[j])
+        feats.append(rng.standard_normal((n, spec.feature_dim)) + spec.centers[j])
         subs.append(np.full(n, j, dtype=int))
     features = np.vstack(feats)
     subclass_labels = np.concatenate(subs)

@@ -62,7 +62,7 @@ class ExperimentConfig:
     lam: float = DistillConfig.lam
 
     def __post_init__(self):
-        # reject a bad task, count, difficulty, split, tau or lam before any seed trains
+        # reject a bad task, count, difficulty, feature_dim, split, tau or lam before any seed trains
         self.data_spec(self.base_seed)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
@@ -207,8 +207,9 @@ def write_experiment_report(report: dict, out_dir, timings=None) -> dict[str, Pa
     with paths["summary"].open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["variant", "binary_f1_mean", "binary_f1_std", "macro_f1_mean", "macro_f1_std"]
+            ["variant", "binary_f1_mean", "binary_f1_std", "macro_f1_mean", "macro_f1_std", "n"]
         )
+        n = len(report["per_seed"])  # seeds that completed
         for name in report["variants"]:
             row = report["summary"][name]
             writer.writerow(
@@ -218,6 +219,7 @@ def write_experiment_report(report: dict, out_dir, timings=None) -> dict[str, Pa
                     f"{row['binary_f1']['std']:.6f}",
                     f"{row['macro_f1']['mean']:.6f}",
                     f"{row['macro_f1']['std']:.6f}",
+                    n,
                 ]
             )
 

@@ -408,6 +408,15 @@ class TestTrainCommand:
         )
         assert code == 2 and "takes no --teacher" in err
 
+    def test_student_rejects_labels(self, capsys, tiny_config, data_dir, tmp_path):
+        code, _, err = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "student", "--mode", "baseline", "--labels", "class",
+            "-o", str(tmp_path / "s"),
+        )
+        assert code == 2 and "--labels applies only to --role teacher" in err
+        assert not (tmp_path / "s").exists()
+
     def test_kd_rejects_subclass_teacher(self, capsys, tiny_config, data_dir, tmp_path):
         tdir = tmp_path / "teacher"
         run(
@@ -609,7 +618,8 @@ class TestExperimentCommand:
                     "[teacher]\nhidden_layers = 0\n", "[teacher]\nepoch = 4\n",
                     "[techer]\nepochs = 1\n", "[DEFAULT]\nepochs = 4\n",
                     "[distill]\ntau_kd = nan\n", "[teacher]\nlearning_rate = nan\n",
-                    "[teacher]\nlearning_rate = -0.5\n", "[data]\ntask = SL%22\n"],
+                    "[teacher]\nlearning_rate = -0.5\n", "[data]\ntask = SL%22\n",
+                    "[data]\nfeature_dim = 1\n"],
     )
     def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
         import skdlab.experiment

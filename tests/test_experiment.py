@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -106,7 +107,7 @@ class TestRunExperiment:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
-    def test_partial_failures_are_recorded(self, monkeypatch):
+    def test_partial_failures_are_recorded(self, monkeypatch, tmp_path):
         real = run_single_seed
 
         def flaky(cfg, seed):
@@ -120,6 +121,10 @@ class TestRunExperiment:
         assert report["failures"] == [{"seed": 6, "error": "FloatingPointError: synthetic failure"}]
         # summary covers the two surviving seeds
         assert len(report["summary"]["student_skd"]["binary_f1"]["values"]) == 2
+        # and summary.csv counts them in its last column
+        write_experiment_report(report, tmp_path)
+        rows = csv.reader((tmp_path / "summary.csv").read_text().splitlines())
+        assert [row[-1] for row in rows] == ["n"] + ["2"] * len(VARIANTS)
 
     def test_pool_is_no_larger_than_the_seed_count(self, monkeypatch):
         import concurrent.futures
@@ -208,7 +213,7 @@ class TestReportFiles:
         assert loaded["config"]["n_seeds"] == 3
 
         summary_lines = (first / "summary.csv").read_text().splitlines()
-        assert summary_lines[0] == "variant,binary_f1_mean,binary_f1_std,macro_f1_mean,macro_f1_std"
+        assert summary_lines[0] == "variant,binary_f1_mean,binary_f1_std,macro_f1_mean,macro_f1_std,n"
         assert len(summary_lines) == 1 + len(VARIANTS)
 
         per_seed_lines = (first / "per_seed.csv").read_text().splitlines()
