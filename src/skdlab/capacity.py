@@ -560,37 +560,23 @@ def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:
 # label-bits report.
 
 
-def estimate_accuracy(confusion_counts) -> float:
-    """Sample-weighted mean diagonal of the row-normalized confusion matrix.
+def confusion_to_channel(confusion_counts) -> ChannelSpec:
+    """Row-normalize an empirical confusion matrix into a channel.
 
-    Collapses an empirical confusion matrix to the single per-level accuracy
-    the closed-form channels assume.  Equal to trace / total.
+    The counts must be nonnegative, with at least one sample per true label.
     """
     c = np.asarray(confusion_counts, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-        raise ValueError("confusion matrix must be square and nonempty")
-    return _fit_accuracy(c, c.sum(axis=1, keepdims=True))
-
-
-def confusion_to_channel(confusion_counts) -> ChannelSpec:
-    """Row-normalize an empirical confusion matrix into a channel."""
-    c = np.asarray(confusion_counts, dtype=float)
+    if (c < 0).any():
+        raise ValueError("confusion counts must be nonnegative")
     rows = c.sum(axis=1, keepdims=True)
-    _require_samples(rows)
+    if not rows.all():
+        raise ValueError("every true label needs at least one sample")
     return ChannelSpec(c / rows)
 
 
-def _fit_accuracy(c: np.ndarray, rows: np.ndarray) -> float:
-    """estimate_accuracy of a square float confusion c whose row sums are rows."""
-    if (c < 0).any():
-        raise ValueError("confusion counts must be nonnegative")
-    _require_samples(rows)
+def _accuracy(c: np.ndarray) -> float:
+    """A square confusion's accuracy for the symmetric closed forms: trace / total."""
     return float(np.trace(c) / c.sum())
-
-
-def _require_samples(rows: np.ndarray) -> None:
-    if not rows.all():
-        raise ValueError("every true label needs at least one sample")
 
 
 @dataclass(frozen=True)
@@ -671,17 +657,13 @@ def label_bits_report(
 
     split = hierarchy.split_classes
     detection = hierarchy.num_classes == 2 and len(split) <= 1
-    class_rows = class_conf.sum(axis=1, keepdims=True)
-    _require_samples(class_rows)
-    class_channel = ChannelSpec(class_conf / class_rows)
+    class_channel = confusion_to_channel(class_conf)
     empirical = {"class_capacity": blahut_arimoto(class_channel)[0]}
-    # fitted before the subclass terms, so a bad class confusion is the error reported
-    p_c = None if detection else _fit_accuracy(class_conf, class_rows)
+    p_c = None if detection else _accuracy(class_conf)
     acc, sub_caps = {}, {}
     for c in split:
-        rows = sub_confs[c].sum(axis=1, keepdims=True)
-        acc[c] = _fit_accuracy(sub_confs[c], rows)  # checks rows too
-        sub_caps[c] = blahut_arimoto(ChannelSpec(sub_confs[c] / rows))[0]
+        sub_caps[c] = blahut_arimoto(confusion_to_channel(sub_confs[c]))[0]
+        acc[c] = _accuracy(sub_confs[c])
     if sub_caps or not detection:
         empirical["subclass_capacity"] = sub_caps
 

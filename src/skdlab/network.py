@@ -185,9 +185,9 @@ class OptimizerState:
     learning_rate: float = 1e-3
     lr_decay: float = 0.91
     weight_decay: float = 5e-4
-    step: int = 0
-    m: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
+    step: int = field(default=0, init=False)
+    m: Optional[np.ndarray] = field(default=None, init=False)
+    v: Optional[np.ndarray] = field(default=None, init=False)
     _work: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -23,7 +23,6 @@ from skdlab.capacity import (
     counts_from_confusions,
     detection_bits_bound,
     detection_report_row,
-    estimate_accuracy,
     hierarchy_bits_bound,
     label_bits_report,
     mutual_information,
@@ -701,27 +700,36 @@ class TestDetectionBound:
 
 
 class TestEstimateAccuracy:
+    """The accuracies label_bits_report fits from confusion counts: trace / total."""
+
     def test_hand_value(self):
-        assert estimate_accuracy([[90, 10], [20, 80]]) == pytest.approx(0.85, abs=1e-15)
+        h = build_task_preset("SL22")  # two split classes: the hierarchy route fits p_c
+        subs = [[[45, 5], [5, 45]]] * 2
+        row = label_bits_report([[90, 10], [20, 80]], subs, h, ((50, 50), (50, 50)))
+        assert row.fitted["p_c"] == pytest.approx(0.85, abs=1e-15)
 
     def test_identity(self):
-        assert estimate_accuracy(np.eye(3) * 7) == 1.0
+        h = LabelHierarchy((1, 1, 1))
+        row = label_bits_report(np.eye(3) * 7, [None] * 3, h, ((7,),) * 3)
+        assert row.fitted["p_c"] == 1.0
 
     def test_uniform_gives_chance(self):
-        conf = np.ones((4, 4))
-        p = estimate_accuracy(conf)
-        assert p == pytest.approx(0.25, abs=1e-15)
-        assert qsc_capacity(4, p) == pytest.approx(0.0, abs=1e-12)
+        h = LabelHierarchy((1, 1, 1, 1))
+        row = label_bits_report(np.ones((4, 4)), [None] * 4, h, ((4,),) * 4)
+        assert row.fitted["p_c"] == pytest.approx(0.25, abs=1e-15)
+        assert row.breakdown.class_bits == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_is_the_row_normalized_confusion(self):
         got = confusion_to_channel([[9, 1], [2, 8]]).transition
         np.testing.assert_allclose(got, [[0.9, 0.1], [0.2, 0.8]], atol=1e-15)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_accuracy([[1, 0], [0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every true label needs at least one sample"):
             confusion_to_channel([[0, 0], [1, 1]])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="confusion counts must be nonnegative"):
+            confusion_to_channel([[-10, 110], [20, 80]])
 
 
 class TestLabelBitsReport:
@@ -748,7 +756,7 @@ class TestLabelBitsReport:
         row = label_bits_report(class_conf, subs, h, counts, task=task)
         diag = confusion_to_channel(class_conf).transition.diagonal()
         params = DetectionParams(
-            float(diag[1 - alt]), float(diag[alt]), 2, estimate_accuracy(sub_conf), 100, 100
+            float(diag[1 - alt]), float(diag[alt]), 2, np.trace(sub_conf) / np.sum(sub_conf), 100, 100
         )
         empirical = {
             "class_capacity": blahut_arimoto(confusion_to_channel(class_conf))[0],
@@ -780,7 +788,7 @@ class TestLabelBitsReport:
         subs = [[[40, 10], [10, 40]], [[35, 15], [15, 35]]]
         counts = ((50, 50), (50, 50))
         row = label_bits_report(class_conf, subs, h, counts, task="SL22")
-        p_c = estimate_accuracy(class_conf)
+        p_c = np.trace(class_conf) / np.sum(class_conf)
         expected = hierarchy_bits_bound(
             HierarchyBitsParams(h, p_c, (0.8, 0.7), counts)
         )
@@ -824,7 +832,7 @@ class TestLabelBitsReport:
         elif expect == "no alternative":  # SL21 splits class 0, the alternative
             assert b.subclass_bits == 0.0
         else:  # the alternative carries every sample, so its weight is 1
-            assert b.subclass_bits == qsc_capacity(2, estimate_accuracy(sub_conf))
+            assert b.subclass_bits == qsc_capacity(2, np.trace(sub_conf) / np.sum(sub_conf))
 
     DETECTION_FITS = ["p_h0", "p_h1", "n_s", "p_s"]
 
@@ -852,19 +860,17 @@ class TestLabelBitsReport:
             assert list(row.empirical) == ["class_capacity", "subclass_capacity"]
             assert list(row.empirical["subclass_capacity"]) == sub_caps
 
-    BAD_CONFUSIONS = {  # class confusion, class 0's subclass confusion, message per route
+    BAD_CONFUSIONS = {  # class confusion, class 0's subclass confusion, message on both routes
         "negative class count": (
-            [[-10, 110], [20, 80]], [[40, 10], [10, 40]], "transition entries must lie in [0, 1]"
+            [[-10, 110], [20, 80]], [[40, 10], [10, 40]], "confusion counts must be nonnegative"
         ),
         "all-zero class row": (
             [[0, 0], [20, 80]], [[40, 10], [10, 40]], "every true label needs at least one sample"
         ),
-        # ChannelSpec clips the -1e-18 it becomes to 0: the hierarchy route's fit still
-        # sees a negative count, and the detection route an accuracy of 0
+        # rejected as a count, before row-normalizing makes it a -1e-18 that ChannelSpec
+        # would clip to 0
         "tiny negative class cell": (
-            [[-1e-16, 100], [20, 80]],
-            [[40, 10], [10, 40]],
-            {"SL22": "confusion counts must be nonnegative", "SL21": "hypothesis accuracies must lie in (0, 1]"},
+            [[-1e-16, 100], [20, 80]], [[40, 10], [10, 40]], "confusion counts must be nonnegative"
         ),
         "wrong subclass shape": (
             [[90, 10], [20, 80]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], "class 0 subclass confusion must be 2x2"
@@ -881,8 +887,6 @@ class TestLabelBitsReport:
     @pytest.mark.parametrize("task", ["SL22", "SL21"], ids=["hierarchy", "detection"])
     def test_bad_confusion_message(self, task, case):
         class_conf, sub_conf, expect = self.BAD_CONFUSIONS[case]
-        if isinstance(expect, dict):
-            expect = expect[task]
         h = build_task_preset(task)  # class 0 is split on both routes, class 1 only on SL22
         subs = [sub_conf, [[45, 5], [5, 45]] if task == "SL22" else None]
         counts = tuple((50,) * n for n in h.subclasses_per_class)

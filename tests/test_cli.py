@@ -400,6 +400,16 @@ class TestTrainCommand:
         )
         assert code == 2 and "requires --teacher" in err
 
+    def test_missing_teacher_checkpoint(self, capsys, tiny_config, data_dir, tmp_path):
+        missing = tmp_path / "no_teacher" / "checkpoint.json"
+        code, _, err = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "student", "--mode", "skd", "--teacher", str(missing),
+            "-o", str(tmp_path / "s"),
+        )
+        assert code == 2 and str(missing) in err
+        assert not (tmp_path / "s").exists()
+
     def test_baseline_rejects_teacher_flag(self, capsys, tiny_config, data_dir, tmp_path):
         code, _, err = run(
             capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),

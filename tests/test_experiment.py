@@ -107,6 +107,20 @@ class TestRunExperiment:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
+    def test_zero_count_subclass(self):
+        # subclass 0 has no samples: generation and the split skip it, and the
+        # subclass-level variants' test confusions keep its empty row
+        cfg = tiny_config(
+            samples_per_subclass=(0, 12, 26, 26), n_seeds=2, teacher=teacher_train_config(epochs=2)
+        )
+        report, _ = run_experiment(cfg)
+        assert report["failures"] == []
+        for entry in report["per_seed"]:
+            for name in ("teacher_subclass", "student_subclass", "student_skd"):
+                confusion = np.array(entry["metrics"][name]["subclass_confusion"])
+                assert confusion.shape == (4, 4)
+                assert not confusion[0].any() and confusion[1:].sum(axis=1).all()
+
     def test_partial_failures_are_recorded(self, monkeypatch, tmp_path):
         real = run_single_seed
 
