@@ -563,9 +563,12 @@ def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:
 def confusion_to_channel(confusion_counts) -> ChannelSpec:
     """Row-normalize an empirical confusion matrix into a channel.
 
-    The counts must be nonnegative, with at least one sample per true label.
+    The counts must be finite and nonnegative, with at least one sample per
+    true label.
     """
     c = np.asarray(confusion_counts, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("confusion counts must be finite")
     if (c < 0).any():
         raise ValueError("confusion counts must be nonnegative")
     rows = c.sum(axis=1, keepdims=True)

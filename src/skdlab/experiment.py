@@ -62,10 +62,15 @@ class ExperimentConfig:
     lam: float = DistillConfig.lam
 
     def __post_init__(self):
-        # reject a bad task, count, difficulty, feature_dim, split, tau or lam before any seed trains
+        # reject a bad task, count, difficulty, feature_dim, split, seed, seed count, tau or lam
+        # before any seed trains
         self.data_spec(self.base_seed)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if self.base_seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.n_seeds < 2:
+            raise ValueError("n_seeds must be at least 2")
         for mode in ("kd", "skd"):
             self.distill_config(mode)
 
@@ -148,8 +153,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
     The report contains no timings; each seed's wall-clock time is returned
     as a line "seed=<s> wall_clock_s=<t>", to be written to a sidecar log.
     """
-    if cfg.n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     seeds = [cfg.base_seed + k for k in range(cfg.n_seeds)]

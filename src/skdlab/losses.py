@@ -20,7 +20,7 @@ distillation and plain baseline training it targets class labels.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,24 +82,11 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def _batch_logits(name, *arrays):
-    out = []
-    width = None
-    for arr in arrays:
-        a = np.atleast_2d(np.asarray(arr, dtype=float))
-        if width is None:
-            width = a.shape[1]
-        elif a.shape[1] != width:
-            raise ValueError(f"{name}: logit widths differ ({width} vs {a.shape[1]})")
-        out.append(a)
-    if out[0].shape[0] != out[1].shape[0]:
-        raise ValueError(f"{name}: batch sizes differ")
-    return out
-
-
 def skd_loss(teacher_logits, student_logits, tau: float) -> float:
     """Batch-mean KL between softened teacher and student subclass outputs."""
-    t, s = _batch_logits("skd_loss", teacher_logits, student_logits)
+    t, s = np.atleast_2d(teacher_logits, student_logits)
+    if t.shape != s.shape:
+        raise ValueError(f"teacher logits {t.shape} do not match student {s.shape}")
     pt, log_pt = softmax_and_log_softmax(t, tau)
     log_ps = softmax_and_log_softmax(s, tau)[1]
     per_sample = np.sum(pt * (log_pt - log_ps), axis=1)
@@ -133,9 +120,11 @@ def aggregate_class_probabilities(subclass_probs, hierarchy: LabelHierarchy) -> 
 
 # ---------------------------------------------------------------------------
 # Loss specs: the output-layer stories handed to network.backward.  Each
-# exposes loss_and_logit_grad(logits) -> (batch-mean loss, dL/dlogits);
-# the training loop's specs also expose rows(index), the spec on a subset,
-# and take the logits as the 2-D array backward passes.
+# exposes loss_and_logit_grad(logits) -> (batch-mean loss, dL/dlogits) and
+# takes the logits as the 2-D array backward passes.  The training loop's
+# specs are CrossEntropyOnLabels and its subclass CombinedObjective, which
+# adds the teacher term to the CE it inherits; both share one rows(index),
+# the spec on a subset of samples.
 # Gradients are exact analytic derivatives:
 #   d(mean CE)/dz      = (softmax(z) - onehot) / n
 #   d(mean distill)/dz = (softmax(z/tau) - softmax(t/tau)) / (n * tau)
@@ -153,51 +142,44 @@ def _one_hot_table(labels, width: int) -> np.ndarray:
     return hot
 
 
-def _cross_entropy_and_grad(z, hot):
-    """Mean CE of softmax(z) against the one-hot rows hot, and its gradient."""
-    if hot.shape[0] != z.shape[0]:
-        raise ValueError("labels do not match batch size")
-    if hot.shape[1] != z.shape[1]:
-        raise ValueError(f"label width {hot.shape[1]} does not match logit width {z.shape[1]}")
-    n = z.shape[0]
-    p, log_p = softmax_and_log_softmax(z)
-    log_p *= hot
-    loss = -np.add.reduce(log_p, axis=None) / n
-    p -= hot
-    p /= n
-    return float(loss), p
-
-
-@dataclass
 class CrossEntropyOnLabels:
     """Mean cross entropy of softmax(logits) against integer labels.
 
     Given the logit width, the labels are checked and one-hot encoded once,
-    here, and rows() slices that table; without it, each call encodes them
-    at the width of the logits it gets.
+    here; without it, each call encodes them at the width of the logits it
+    gets.
     """
 
-    labels: np.ndarray
-    width: InitVar[Optional[int]] = None
-    _one_hot: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, labels, width: Optional[int] = None):
+        self.labels = np.asarray(labels)
+        self._one_hot = None if width is None else _one_hot_table(self.labels, width)
 
-    def __post_init__(self, width):
-        self.labels = np.asarray(self.labels)
-        if width is not None:
-            self._one_hot = _one_hot_table(self.labels, width)
+    def rows(self, index):
+        """The same spec on a subset of samples (an index array or a slice).
 
-    def rows(self, index) -> "CrossEntropyOnLabels":
-        """The same loss on a subset of samples (an index array or a slice)."""
-        sub = object.__new__(CrossEntropyOnLabels)
-        sub.labels = self.labels[index]
-        sub._one_hot = None if self._one_hot is None else self._one_hot[index]
+        Every array the spec holds has one row per sample, so each is sliced.
+        """
+        sub = object.__new__(type(self))
+        sub.__dict__ = {
+            k: v[index] if isinstance(v, np.ndarray) else v for k, v in self.__dict__.items()
+        }
         return sub
 
     def loss_and_logit_grad(self, z):
         hot = self._one_hot
         if hot is None:
             hot = _one_hot_table(self.labels, z.shape[1])
-        return _cross_entropy_and_grad(z, hot)
+        if hot.shape[0] != z.shape[0]:
+            raise ValueError("labels do not match batch size")
+        if hot.shape[1] != z.shape[1]:
+            raise ValueError(f"label width {hot.shape[1]} does not match logit width {z.shape[1]}")
+        n = z.shape[0]
+        p, log_p = softmax_and_log_softmax(z)
+        log_p *= hot
+        loss = -np.add.reduce(log_p, axis=None) / n
+        p -= hot
+        p /= n
+        return float(loss), p
 
 
 @dataclass
@@ -218,49 +200,30 @@ class DistillAgainstTeacher:
         return float(loss), grad
 
 
-@dataclass
-class CombinedObjective:
+class CombinedObjective(CrossEntropyOnLabels):
     """lam * CE(labels) + (1 - lam) * softened KL(teacher).
 
     The frozen teacher's logits are only read at construction, to compute its
-    softened targets once; the labels' one-hot table is built then too, at
-    the teacher's width.  rows() slices those tables.
+    softened targets once; the labels are one-hot encoded then too, at the
+    teacher's width.
     """
 
-    labels: np.ndarray
-    teacher_logits: InitVar[np.ndarray]
-    tau: float
-    lam: float
-    _one_hot: np.ndarray = field(init=False, repr=False)
-    _teacher_probs: np.ndarray = field(init=False, repr=False)
-    _teacher_log_probs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, teacher_logits):
-        if not 0.0 <= self.lam <= 1.0:
+    def __init__(self, labels, teacher_logits, tau: float, lam: float):
+        if not 0.0 <= lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        self.labels = np.asarray(self.labels)
+        self.tau, self.lam = tau, lam
         self._teacher_probs, self._teacher_log_probs = softmax_and_log_softmax(
-            np.atleast_2d(teacher_logits), self.tau
+            np.atleast_2d(teacher_logits), tau
         )
-        self._one_hot = _one_hot_table(self.labels, self._teacher_probs.shape[1])
+        super().__init__(labels, self._teacher_probs.shape[1])
         if len(self._one_hot) != len(self._teacher_probs):
             raise ValueError("labels and teacher logits differ in sample count")
-
-    def rows(self, index) -> "CombinedObjective":
-        """The same objective on a subset of samples (an index array or a slice)."""
-        sub = object.__new__(CombinedObjective)
-        sub.labels = self.labels[index]
-        sub.tau, sub.lam = self.tau, self.lam
-        sub._one_hot = self._one_hot[index]
-        sub._teacher_probs = self._teacher_probs[index]
-        sub._teacher_log_probs = self._teacher_log_probs[index]
-        return sub
 
     def loss_and_logit_grad(self, z):
         pt = self._teacher_probs
         if pt.shape != z.shape:
             raise ValueError(f"teacher logits {pt.shape} do not match student {z.shape}")
-        ce_loss, grad = _cross_entropy_and_grad(z, self._one_hot)
+        ce_loss, grad = super().loss_and_logit_grad(z)
         # the expressions of skd_loss and DistillAgainstTeacher, teacher terms precomputed,
         # evaluated in place with the same operands and order
         n = z.shape[0]

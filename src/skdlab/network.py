@@ -212,7 +212,6 @@ def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState)
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    if state._work is None:
         state._work = (np.empty_like(params), np.empty_like(params))
     state.step += 1
     t = state.step

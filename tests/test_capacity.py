@@ -731,6 +731,11 @@ class TestEstimateAccuracy:
         with pytest.raises(ValueError, match="confusion counts must be nonnegative"):
             confusion_to_channel([[-10, 110], [20, 80]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="confusion counts must be finite"):
+            confusion_to_channel([[bad, 10], [20, 80]])
+
 
 class TestLabelBitsReport:
     def test_detection_route_matches_closed_forms(self):
@@ -880,6 +885,12 @@ class TestLabelBitsReport:
         ),
         "all-zero subclass row": (
             [[90, 10], [20, 80]], [[0, 0], [10, 40]], "every true label needs at least one sample"
+        ),
+        "NaN class count": (
+            [[float("nan"), 10], [20, 80]], [[40, 10], [10, 40]], "confusion counts must be finite"
+        ),
+        "infinite subclass count": (
+            [[90, 10], [20, 80]], [[float("inf"), 10], [10, 40]], "confusion counts must be finite"
         ),
     }
 

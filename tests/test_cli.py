@@ -327,7 +327,9 @@ class TestGenerateCommand:
          ("[student]\nweight_decay = -1\n",
           "[student] weight_decay: weight_decay must be finite and non-negative"),
          ("[distill]\ntau_kd = nan\n", "[distill] tau_kd: tau must be finite and positive"),
-         ("[distill]\ntau_skd = 4\ntau_kd = nan\nlam = 0.4\n", "[distill] tau_kd: tau must")],
+         ("[distill]\ntau_skd = 4\ntau_kd = nan\nlam = 0.4\n", "[distill] tau_kd: tau must"),
+         ("[experiment]\nn_seeds = 1\n", "[experiment] n_seeds: n_seeds must be at least 2"),
+         ("[data]\nseed = -1\n", "[data] seed: seed must be non-negative")],
     )
     def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.ini"
@@ -629,7 +631,8 @@ class TestExperimentCommand:
                     "[techer]\nepochs = 1\n", "[DEFAULT]\nepochs = 4\n",
                     "[distill]\ntau_kd = nan\n", "[teacher]\nlearning_rate = nan\n",
                     "[teacher]\nlearning_rate = -0.5\n", "[data]\ntask = SL%22\n",
-                    "[data]\nfeature_dim = 1\n"],
+                    "[data]\nfeature_dim = 1\n", "[experiment]\nn_seeds = 1\n",
+                    "[data]\nseed = -1\n"],
     )
     def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
         import skdlab.experiment

@@ -116,6 +116,11 @@ class TestSkdLoss:
                 batch_kl_oracle(t, s, tau), abs=1e-12
             )
 
+    @pytest.mark.parametrize("student_shape", [(2, 4), (3, 5)], ids=["batch", "width"])
+    def test_shape_mismatch_rejected(self, student_shape):
+        with pytest.raises(ValueError, match=r"teacher logits \(3, 4\) do not match student"):
+            skd_loss(np.zeros((3, 4)), np.zeros(student_shape), 5.0)
+
 
 class TestConventionalKd:
     def test_same_form_as_subclass_distillation(self):
