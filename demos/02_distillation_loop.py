@@ -8,11 +8,9 @@ level; the minority class (class 0) F1 is the headline number.
 
     python3 demos/02_distillation_loop.py
 """
-from dataclasses import replace
-
 from skdlab.data import generate_synthetic, split_dataset
-from skdlab.experiment import ExperimentConfig
-from skdlab.training import evaluate, train_student, train_teacher
+from skdlab.experiment import VARIANT_TABLE, ExperimentConfig, train_variants
+from skdlab.training import evaluate
 
 # The SL22 headline experiment's settings, at its first seed: ExperimentConfig
 # holds the subclass counts, difficulties, split, network configs and the
@@ -24,47 +22,35 @@ hierarchy = spec.hierarchy
 train, test = split_dataset(generate_synthetic(spec), cfg.train_fraction, SEED)
 print(f"train {len(train)} samples, test {len(test)} samples")
 
-# Two teachers share one config; only the label level differs. The subclass
-# teacher has four outputs, the class teacher two.
-tcfg = replace(cfg.teacher, seed=SEED)
-teacher_class = train_teacher(train, hierarchy, tcfg, label_level="class")
-teacher_sub = train_teacher(train, hierarchy, tcfg, label_level="subclass")
-print(f"teacher parameters: {teacher_sub.network.params.size}")
+# train_variants trains the six rows of experiment.VARIANT_TABLE. The two
+# teachers share one config; only the label level differs, so the subclass
+# teacher has four outputs and the class teacher two. The four students share
+# one small config; the distill mode decides the output width, the loss, and
+# whether a teacher joins in. tau, set per mode, softens both sides of the
+# distillation term; lam balances labels against the teacher.
+results = train_variants(cfg, SEED, train)
+print(f"teacher parameters: {results['teacher_subclass'].network.params.size}")
 
-# Students share one small config; the distill mode decides the output
-# width, the loss, and whether a teacher joins in. tau, set per mode,
-# softens both sides of the distillation term; lam balances labels against
-# the teacher.
-scfg = replace(cfg.student, seed=SEED)
-
-
-def student(mode, teacher=None):
-    distill = cfg.distill_config(mode)
-    return train_student(train, hierarchy, replace(scfg, distill=distill), teacher=teacher)
-
-
-runs = {
-    "teacher (subclass)": (teacher_sub, "subclass"),
-    "teacher (class)": (teacher_class, "class"),
-    "student baseline": (student("baseline"), "class"),
-    "student subclass": (student("subclass"), "subclass"),
-    "student conventional KD": (student("kd", teacher_class.network), "class"),
-    "student subclass KD": (student("skd", teacher_sub.network), "subclass"),
+LABELS = {
+    "teacher (subclass)": "teacher_subclass",
+    "teacher (class)": "teacher_class",
+    "student baseline": "student_baseline",
+    "student subclass": "student_subclass",
+    "student conventional KD": "student_kd",
+    "student subclass KD": "student_skd",
 }
+level = {name: row_level for name, row_level, _, _ in VARIANT_TABLE}
 
 print(f"\n{'variant':26s} {'params':>7s} {'minority F1':>12s} {'macro F1':>9s}")
-for name, (result, level) in runs.items():
-    m = evaluate(result.network, test, hierarchy, level)
-    print(
-        f"{name:26s} {result.network.params.size:7d} "
-        f"{m.binary_f1:12.4f} {m.macro_f1:9.4f}"
-    )
+for label, name in LABELS.items():
+    net = results[name].network
+    m = evaluate(net, test, hierarchy, level[name])
+    print(f"{label:26s} {net.params.size:7d} {m.binary_f1:12.4f} {m.macro_f1:9.4f}")
 
-# On this seed the subclass-KD student lands about one minority-F1 point
-# above the baseline, and conventional KD at tau=128 coincides with the
-# baseline exactly (the high-temperature gradient is too small to flip any
-# test prediction here). Single seeds are noisy; the multi-seed comparison
-# in demos/04_trend_experiment.py is the one that counts.
-skd = runs["student subclass KD"][0]
+# On this seed the subclass-KD student ties the subclass-label student
+# (0.6558 / 0.7753), so the subclass teacher adds nothing here, and
+# conventional KD at tau=128 ties the baseline the same way (ROADMAP items
+# 4-5 follow this up). Single seeds are noisy; the multi-seed comparison in
+# demos/04_trend_experiment.py is the one that counts.
 print("\nsubclass-KD loss per epoch (first 5):",
-      [round(x, 4) for x in skd.loss_per_epoch[:5]])
+      [round(x, 4) for x in results["student_skd"].loss_per_epoch[:5]])

@@ -1,4 +1,4 @@
-"""Multi-seed experiment orchestration over the six standard variants.
+"""Multi-seed experiment orchestration over the six variants of VARIANT_TABLE.
 
 Each seed generates a fresh synthetic dataset, trains two teachers (class
 and subclass labels) plus four students (baseline, subclass labels only,
@@ -15,27 +15,29 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .data import SyntheticSpec, generate_synthetic, split_dataset
+from .data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
 from .hierarchy import build_task_preset
-from .losses import DistillConfig
+from .losses import STUDENT_MODES, DistillConfig
 from .training import (
     Metrics,
     TrainConfig,
+    TrainResult,
     evaluate,
     student_train_config,
     train_student,
     train_teacher,
 )
 
-# Row order used by every report.
-VARIANTS = (
-    "teacher_class",
-    "teacher_subclass",
-    "student_baseline",
-    "student_subclass",
-    "student_kd",
-    "student_skd",
+# (name, label level, student mode or None for a teacher, teacher row or None), in report order
+VARIANT_TABLE = (
+    ("teacher_class", "class", None, None),
+    ("teacher_subclass", "subclass", None, None),
+    ("student_baseline", "class", "baseline", None),
+    ("student_subclass", "subclass", "subclass", None),
+    ("student_kd", "class", "kd", "teacher_class"),
+    ("student_skd", "subclass", "skd", "teacher_subclass"),
 )
+VARIANTS = tuple(row[0] for row in VARIANT_TABLE)
 
 
 def config_fields(cfg) -> list:
@@ -65,13 +67,15 @@ class ExperimentConfig:
         # reject a bad task, count, difficulty, feature_dim, split, seed, seed count, tau or lam
         # before any seed trains
         self.data_spec(self.base_seed)
+        if 1 in self.samples_per_subclass:
+            raise ValueError("a subclass of 1 sample cannot split into train and test")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if self.base_seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_seeds < 2:
             raise ValueError("n_seeds must be at least 2")
-        for mode in ("kd", "skd"):
+        for mode in STUDENT_MODES:
             self.distill_config(mode)
 
     def data_spec(self, seed: int) -> SyntheticSpec:
@@ -105,34 +109,28 @@ def sl22_trend_config(**overrides) -> ExperimentConfig:
     return replace(ExperimentConfig(), **overrides)
 
 
+def train_variants(cfg: ExperimentConfig, seed: int, train_set: Dataset) -> dict[str, TrainResult]:
+    """Train each VARIANT_TABLE row on train_set in order; a teacher precedes its students."""
+    teacher_cfg, student_cfg = replace(cfg.teacher, seed=seed), replace(cfg.student, seed=seed)
+    results = {}
+    for name, level, mode, teacher in VARIANT_TABLE:
+        if mode is None:
+            results[name] = train_teacher(train_set, train_set.hierarchy, teacher_cfg, level)
+        else:
+            scfg = replace(student_cfg, distill=cfg.distill_config(mode))
+            net = results[teacher].network if teacher else None
+            results[name] = train_student(train_set, train_set.hierarchy, scfg, teacher=net)
+    return results
+
+
 def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
     """Generate, split, train all six variants, evaluate at class level."""
     spec = cfg.data_spec(seed)
-    hierarchy = spec.hierarchy
-    full = generate_synthetic(spec)
-    train_set, test_set = split_dataset(full, cfg.train_fraction, seed)
-
-    teacher_cfg = replace(cfg.teacher, seed=seed)
-    student_cfg = replace(cfg.student, seed=seed)
-
-    teacher_class = train_teacher(train_set, hierarchy, teacher_cfg, "class").network
-    teacher_sub = train_teacher(train_set, hierarchy, teacher_cfg, "subclass").network
-
-    def student(mode: str, teacher=None):
-        distill = cfg.distill_config(mode)
-        scfg = replace(student_cfg, distill=distill)
-        return train_student(train_set, hierarchy, scfg, teacher=teacher).network, distill.level
-
-    nets = {
-        "teacher_class": (teacher_class, "class"),
-        "teacher_subclass": (teacher_sub, "subclass"),
-        "student_baseline": student("baseline"),
-        "student_subclass": student("subclass"),
-        "student_kd": student("kd", teacher_class),
-        "student_skd": student("skd", teacher_sub),
-    }
+    train_set, test_set = split_dataset(generate_synthetic(spec), cfg.train_fraction, seed)
+    results = train_variants(cfg, seed, train_set)
     return {
-        name: evaluate(net, test_set, hierarchy, level) for name, (net, level) in nets.items()
+        name: evaluate(results[name].network, test_set, spec.hierarchy, level)
+        for name, level, _, _ in VARIANT_TABLE
     }
 
 

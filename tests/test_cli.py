@@ -329,7 +329,9 @@ class TestGenerateCommand:
          ("[distill]\ntau_kd = nan\n", "[distill] tau_kd: tau must be finite and positive"),
          ("[distill]\ntau_skd = 4\ntau_kd = nan\nlam = 0.4\n", "[distill] tau_kd: tau must"),
          ("[experiment]\nn_seeds = 1\n", "[experiment] n_seeds: n_seeds must be at least 2"),
-         ("[data]\nseed = -1\n", "[data] seed: seed must be non-negative")],
+         ("[data]\nseed = -1\n", "[data] seed: seed must be non-negative"),
+         ("[data]\nsamples_per_subclass = 1,12,26,26\n",
+          "[data] samples_per_subclass: a subclass of 1 sample cannot split")],
     )
     def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.ini"
@@ -632,7 +634,7 @@ class TestExperimentCommand:
                     "[distill]\ntau_kd = nan\n", "[teacher]\nlearning_rate = nan\n",
                     "[teacher]\nlearning_rate = -0.5\n", "[data]\ntask = SL%22\n",
                     "[data]\nfeature_dim = 1\n", "[experiment]\nn_seeds = 1\n",
-                    "[data]\nseed = -1\n"],
+                    "[data]\nseed = -1\n", "[data]\nsamples_per_subclass = 1,12,26,26\n"],
     )
     def test_bad_config_rejected_before_training(self, capsys, tmp_path, monkeypatch, section):
         import skdlab.experiment
@@ -650,7 +652,7 @@ class TestExperimentCommand:
         bad = tmp_path / "bad.ini"
         bad.write_text("[data]\nsamples_per_subclass = 1,12,26,26\n")
         code, _, err = run(capsys, "experiment", "-c", str(bad), "-o", str(tmp_path / "x"))
-        assert code == 2 and "cannot split" in err
+        assert code == 2 and "[data] samples_per_subclass" in err and "cannot split" in err
 
     def test_bad_jobs_value(self, capsys, tiny_config, tmp_path):
         code, _, err = run(

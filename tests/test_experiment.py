@@ -7,6 +7,7 @@ import pytest
 
 import skdlab.experiment as exp
 from skdlab.experiment import (
+    VARIANT_TABLE,
     VARIANTS,
     ExperimentConfig,
     run_experiment,
@@ -14,6 +15,7 @@ from skdlab.experiment import (
     sl22_trend_config,
     write_experiment_report,
 )
+from skdlab.losses import DistillConfig
 from skdlab.training import student_train_config, teacher_train_config
 
 
@@ -50,6 +52,9 @@ class TestDefaults:
             {"samples_per_subclass": (10, 10)},
             {"task": "SL99"},
             {"train_fraction": 1.5},
+            {"tau_kd": 0.0},
+            {"tau_kd": float("inf")},
+            {"samples_per_subclass": (1, 12, 26, 26)},
         ],
     )
     def test_bad_values_rejected_at_construction(self, override):
@@ -63,10 +68,27 @@ class TestDefaults:
         json.dumps(d)  # must already be JSON-safe
 
 
+class TestVariantTable:
+    def test_rows_pair_students_with_teachers(self):
+        teachers = {name: level for name, level, mode, _ in VARIANT_TABLE if mode is None}
+        for name, level, mode, teacher in VARIANT_TABLE:
+            # the names are the span names the benchmark's tracer derives from each call
+            if mode is None:
+                assert name == f"teacher_{level}" and teacher is None
+                continue
+            distill = DistillConfig(mode)
+            assert name == f"student_{mode}" and level == distill.level
+            assert (teacher is not None) == distill.uses_teacher
+            if teacher is not None:
+                # a teacher row at the student's level, trained before the student
+                assert teachers[teacher] == level
+                assert VARIANTS.index(teacher) < VARIANTS.index(name)
+
+
 class TestSingleSeed:
     def test_all_variants_present(self):
         metrics = run_single_seed(tiny_config(), seed=5)
-        assert set(metrics) == set(VARIANTS)
+        assert list(metrics) == list(VARIANTS)  # report.json's per-seed key order
         for name, m in metrics.items():
             assert m.class_confusion.shape == (2, 2)
             assert 0.0 <= m.binary_f1 <= 1.0
