@@ -17,9 +17,7 @@ from skdlab.training import evaluate
 # distillation settings.
 SEED = 1000
 cfg = ExperimentConfig()
-spec = cfg.data_spec(SEED)
-hierarchy = spec.hierarchy
-train, test = split_dataset(generate_synthetic(spec), cfg.train_fraction, SEED)
+train, test = split_dataset(generate_synthetic(cfg.data_spec(SEED)), cfg.train_fraction, SEED)
 print(f"train {len(train)} samples, test {len(test)} samples")
 
 # train_variants trains the six rows of experiment.VARIANT_TABLE. The two
@@ -44,7 +42,7 @@ level = {name: row_level for name, row_level, _, _ in VARIANT_TABLE}
 print(f"\n{'variant':26s} {'params':>7s} {'minority F1':>12s} {'macro F1':>9s}")
 for label, name in LABELS.items():
     net = results[name].network
-    m = evaluate(net, test, hierarchy, level[name])
+    m = evaluate(net, test, level[name])
     print(f"{label:26s} {net.params.size:7d} {m.binary_f1:12.4f} {m.macro_f1:9.4f}")
 
 # On this seed the subclass-KD student ties the subclass-label student

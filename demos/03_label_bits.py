@@ -67,15 +67,13 @@ print(f"detection bound:       class {det.class_bits:.6f} "
 # The data and teacher are the SL22 headline experiment's, at its first seed.
 SEED = 1000
 cfg = ExperimentConfig()
-spec = cfg.data_spec(SEED)
-sl22 = spec.hierarchy
-train, test = split_dataset(generate_synthetic(spec), cfg.train_fraction, SEED)
-teacher = train_teacher(train, sl22, replace(cfg.teacher, seed=SEED)).network
+train, test = split_dataset(generate_synthetic(cfg.data_spec(SEED)), cfg.train_fraction, SEED)
+teacher = train_teacher(train, cfg=replace(cfg.teacher, seed=SEED)).network
 
-metrics = evaluate(teacher, test, sl22, "subclass")
-sub_confs = per_class_subclass_confusions(teacher, test, sl22)
+metrics = evaluate(teacher, test, "subclass")
+sub_confs = per_class_subclass_confusions(teacher, test)
 counts = counts_from_confusions(metrics.class_confusion, sub_confs)
-row = label_bits_report(metrics.class_confusion, sub_confs, sl22, counts, task="SL22")
+row = label_bits_report(metrics.class_confusion, sub_confs, test.hierarchy, counts, task="SL22")
 print(f"\nteacher as a channel (test split):")
 print("class confusion, row-normalized:")
 print(np.round(confusion_to_channel(metrics.class_confusion).transition, 3))

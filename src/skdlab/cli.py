@@ -202,13 +202,11 @@ def _read_matrix(path, counts: bool = False) -> np.ndarray:
 def cmd_generate(args) -> int:
     parser, _ = _load_ini(args.config)
     cfg = _experiment_config(parser)
-    spec = cfg.data_spec(cfg.base_seed)
-    hierarchy = spec.hierarchy
-    full = generate_synthetic(spec)
+    full = generate_synthetic(cfg.data_spec(cfg.base_seed))
     train_set, test_set = split_dataset(full, cfg.train_fraction, cfg.base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_hierarchy(hierarchy, out / "hierarchy.json")
+    save_hierarchy(full.hierarchy, out / "hierarchy.json")
     save_dataset(train_set, out / "train.csv")
     save_dataset(test_set, out / "test.csv")
     print(f"wrote {out / 'hierarchy.json'}")
@@ -223,22 +221,20 @@ def _load_data_dir(data_dir):
         if not (d / name).is_file():
             raise ValueError(f"data directory is missing {d / name}")
     hierarchy = load_hierarchy(d / "hierarchy.json")
-    train_set = load_dataset(d / "train.csv", hierarchy)
-    test_set = load_dataset(d / "test.csv", hierarchy)
-    return hierarchy, train_set, test_set
+    return load_dataset(d / "train.csv", hierarchy), load_dataset(d / "test.csv", hierarchy)
 
 
 def cmd_train(args) -> int:
     parser, cfg_text = _load_ini(args.config)
     cfg = _experiment_config(parser)
-    hierarchy, train_set, test_set = _load_data_dir(args.data)
+    train_set, test_set = _load_data_dir(args.data)
     seed = cfg.base_seed
 
     if args.role == "teacher":
         if args.mode is not None or args.teacher is not None:
             raise ValueError("--mode and --teacher apply only to --role student")
         level, mode = args.labels or "subclass", None
-        result = train_teacher(train_set, hierarchy, replace(cfg.teacher, seed=seed), level)
+        result = train_teacher(train_set, cfg=replace(cfg.teacher, seed=seed), label_level=level)
     else:
         if args.labels is not None:
             raise ValueError("--labels applies only to --role teacher")
@@ -264,10 +260,10 @@ def cmd_train(args) -> int:
             if args.teacher is not None:
                 raise ValueError(f"--mode {args.mode} takes no --teacher")
         sc = replace(cfg.student, seed=seed, distill=distill)
-        result = train_student(train_set, hierarchy, sc, teacher=teacher)
+        result = train_student(train_set, cfg=sc, teacher=teacher)
         mode = args.mode
 
-    metrics = evaluate(result.network, test_set, hierarchy, level)
+    metrics = evaluate(result.network, test_set, level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "checkpoint.json"
@@ -300,12 +296,12 @@ def cmd_evaluate(args) -> int:
     level = meta.get("label_level")
     if level not in (None, "class", "subclass"):
         raise ValueError(f"{ckpt_path}: label_level must be 'class' or 'subclass', got {level!r}")
-    hierarchy, train_set, test_set = _load_data_dir(args.data)
-    if level is None:  # saved without one: the level its output width names
-        subclass_wide = hierarchy.split_classes and net.num_outputs == hierarchy.total_subclasses
-        level = "subclass" if subclass_wide else "class"
+    train_set, test_set = _load_data_dir(args.data)
     dataset = train_set if args.split == "train" else test_set
-    metrics = evaluate(net, dataset, hierarchy, level)
+    if level is None:  # saved without one: the level its output width names
+        h = dataset.hierarchy
+        level = "subclass" if h.split_classes and net.num_outputs == h.total_subclasses else "class"
+    metrics = evaluate(net, dataset, level)
     print(f"binary_f1={metrics.binary_f1:.6f} macro_f1={metrics.macro_f1:.6f}")
     if args.out:
         payload = {"split": args.split, "label_level": level, "metrics": metrics.to_dict()}

@@ -131,28 +131,28 @@ def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.
 
 @dataclass
 class Dataset:
-    """Feature vectors with paired subclass and class labels."""
+    """Feature vectors and their subclass labels: Dataset(features, subclass_labels, hierarchy).
+
+    class_labels is not a parameter: the hierarchy fixes each subclass's class, so it is derived.
+    """
 
     features: np.ndarray
     subclass_labels: np.ndarray
-    class_labels: np.ndarray
     hierarchy: LabelHierarchy
+    class_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.subclass_labels = np.asarray(self.subclass_labels, dtype=int)
-        self.class_labels = np.asarray(self.class_labels, dtype=int)
         n = len(self.features)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if len(self.subclass_labels) != n or len(self.class_labels) != n:
+        if len(self.subclass_labels) != n:
             raise ValueError("label arrays must match the number of samples")
         S = self.hierarchy.total_subclasses
         if n and (self.subclass_labels.min() < 0 or self.subclass_labels.max() >= S):
             raise ValueError("subclass label out of hierarchy range")
-        expected = np.array(self.hierarchy.class_of)
-        if n and np.any(self.class_labels != expected[self.subclass_labels]):
-            raise ValueError("class labels inconsistent with hierarchy")
+        self.class_labels = np.array(self.hierarchy.class_of, dtype=int)[self.subclass_labels]
 
     def __len__(self) -> int:
         return len(self.features)
@@ -176,10 +176,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         rng = np.random.default_rng([spec.seed, j])
         feats.append(rng.standard_normal((n, spec.feature_dim)) + spec.centers[j])
         subs.append(np.full(n, j, dtype=int))
-    features = np.vstack(feats)
-    subclass_labels = np.concatenate(subs)
-    class_labels = np.array(spec.hierarchy.class_of)[subclass_labels]
-    return Dataset(features, subclass_labels, class_labels, spec.hierarchy)
+    return Dataset(np.vstack(feats), np.concatenate(subs), spec.hierarchy)
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -204,13 +201,10 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
         n_train = min(max(n_train, 1), len(idx) - 1)
         train_idx.append(idx[:n_train])
         test_idx.append(idx[n_train:])
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
-    def take(sel):
-        return Dataset(
-            ds.features[sel], ds.subclass_labels[sel], ds.class_labels[sel], ds.hierarchy
-        )
-    return take(tr), take(te)
+    return tuple(
+        Dataset(ds.features[sel], ds.subclass_labels[sel], ds.hierarchy)
+        for sel in (np.concatenate(train_idx), np.concatenate(test_idx))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +252,7 @@ def load_dataset(path, hierarchy: LabelHierarchy) -> Dataset:
         d = len(header) - 2
         if [f"f{i}" for i in range(d)] != header[:d]:
             raise ValueError(f"{path}: malformed feature columns in header")
-        feats, subs, clss = [], [], []
+        feats, subs = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -266,17 +260,16 @@ def load_dataset(path, hierarchy: LabelHierarchy) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
             try:
                 feats.append([float(v) for v in row[:d]])
-                subs.append(int(row[d]))
-                clss.append(int(row[d + 1]))
+                subclass, cls = int(row[d]), int(row[d + 1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, feats[-1])):
                 raise ValueError(f"{path}:{lineno}: non-finite feature")
-            if not 0 <= subs[-1] < hierarchy.total_subclasses:
-                raise ValueError(f"{path}:{lineno}: subclass index {subs[-1]} out of range")
+            if not 0 <= subclass < hierarchy.total_subclasses:
+                raise ValueError(f"{path}:{lineno}: subclass index {subclass} out of range")
+            if hierarchy.class_of[subclass] != cls:
+                raise ValueError(f"{path}:{lineno}: class {cls} does not own subclass {subclass}")
+            subs.append(subclass)
     if not feats:
         raise ValueError(f"{path}: no samples")
-    try:
-        return Dataset(np.array(feats), np.array(subs), np.array(clss), hierarchy)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return Dataset(np.array(feats), np.array(subs), hierarchy)

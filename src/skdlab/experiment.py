@@ -115,11 +115,11 @@ def train_variants(cfg: ExperimentConfig, seed: int, train_set: Dataset) -> dict
     results = {}
     for name, level, mode, teacher in VARIANT_TABLE:
         if mode is None:
-            results[name] = train_teacher(train_set, train_set.hierarchy, teacher_cfg, level)
+            results[name] = train_teacher(train_set, cfg=teacher_cfg, label_level=level)
         else:
             scfg = replace(student_cfg, distill=cfg.distill_config(mode))
             net = results[teacher].network if teacher else None
-            results[name] = train_student(train_set, train_set.hierarchy, scfg, teacher=net)
+            results[name] = train_student(train_set, cfg=scfg, teacher=net)
     return results
 
 
@@ -129,7 +129,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict[str, Metrics]:
     train_set, test_set = split_dataset(generate_synthetic(spec), cfg.train_fraction, seed)
     results = train_variants(cfg, seed, train_set)
     return {
-        name: evaluate(results[name].network, test_set, spec.hierarchy, level)
+        name: evaluate(results[name].network, test_set, level)
         for name, level, _, _ in VARIANT_TABLE
     }
 

@@ -150,19 +150,18 @@ class CrossEntropyOnLabels:
     gets.
     """
 
+    PER_SAMPLE = ("labels", "_one_hot")  # the attributes with one row per sample
+
     def __init__(self, labels, width: Optional[int] = None):
         self.labels = np.asarray(labels)
         self._one_hot = None if width is None else _one_hot_table(self.labels, width)
 
     def rows(self, index):
-        """The same spec on a subset of samples (an index array or a slice).
-
-        Every array the spec holds has one row per sample, so each is sliced.
-        """
+        """The same spec on a subset of samples: each PER_SAMPLE array sliced by index."""
         sub = object.__new__(type(self))
-        sub.__dict__ = {
-            k: v[index] if isinstance(v, np.ndarray) else v for k, v in self.__dict__.items()
-        }
+        sub.__dict__ = attrs = self.__dict__.copy()
+        for name in self.PER_SAMPLE:
+            attrs[name] = None if attrs[name] is None else attrs[name][index]
         return sub
 
     def loss_and_logit_grad(self, z):
@@ -207,6 +206,8 @@ class CombinedObjective(CrossEntropyOnLabels):
     softened targets once; the labels are one-hot encoded then too, at the
     teacher's width.
     """
+
+    PER_SAMPLE = CrossEntropyOnLabels.PER_SAMPLE + ("_teacher_probs", "_teacher_log_probs")
 
     def __init__(self, labels, teacher_logits, tau: float, lam: float):
         if not 0.0 <= lam <= 1.0:

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .hierarchy import LabelHierarchy
 from .losses import (
     CombinedObjective,
     CrossEntropyOnLabels,
@@ -84,16 +83,14 @@ class TrainResult:
     loss_per_epoch: list[float]
 
 
-def _level_targets(ds: Dataset, hierarchy: LabelHierarchy, level: str) -> tuple[int, np.ndarray]:
-    """Output width and labels at class or subclass level of a non-empty dataset of hierarchy."""
-    if ds.hierarchy != hierarchy:
-        raise ValueError("dataset hierarchy does not match the requested hierarchy")
+def _level_targets(ds: Dataset, level: str) -> tuple[int, np.ndarray]:
+    """Output width and labels at class or subclass level of a non-empty dataset."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     if level == "class":
-        return hierarchy.num_classes, ds.class_labels
+        return ds.hierarchy.num_classes, ds.class_labels
     if level == "subclass":
-        return hierarchy.total_subclasses, ds.subclass_labels
+        return ds.hierarchy.total_subclasses, ds.subclass_labels
     raise ValueError(f"level must be 'class' or 'subclass', got {level!r}")
 
 
@@ -131,27 +128,27 @@ def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig
 
 
 def train_teacher(
-    train_set: Dataset,
-    hierarchy: LabelHierarchy,
-    cfg: TrainConfig,
-    label_level: str = "subclass",
+    train_set: Dataset, *, cfg: TrainConfig, label_level: str = "subclass"
 ) -> TrainResult:
-    """Cross-entropy training at class or subclass level, as the baseline or subclass student."""
+    """train_teacher(train_set, *, cfg, label_level="subclass"): cross-entropy at that level.
+
+    Keyword-only: perfbench's tracer names each span from label_level.  Labels come from train_set.
+    """
     if label_level not in ("class", "subclass"):
         raise ValueError(f"label_level must be 'class' or 'subclass', got {label_level!r}")
     mode = "baseline" if label_level == "class" else "subclass"
-    return train_student(train_set, hierarchy, replace(cfg, distill=DistillConfig(mode)))
+    return train_student(train_set, cfg=replace(cfg, distill=DistillConfig(mode)))
 
 
 def train_student(
-    train_set: Dataset,
-    hierarchy: LabelHierarchy,
-    cfg: TrainConfig,
-    teacher: Optional[DenseNetwork] = None,
+    train_set: Dataset, *, cfg: TrainConfig, teacher: Optional[DenseNetwork] = None
 ) -> TrainResult:
-    """Train a student under cfg.distill's mode; teacher stays frozen."""
+    """train_student(train_set, *, cfg, teacher=None): train under cfg.distill's mode.
+
+    Keyword-only: perfbench's tracer names each span from cfg.  The teacher stays frozen.
+    """
     distill = cfg.distill
-    width, labels = _level_targets(train_set, hierarchy, distill.level)
+    width, labels = _level_targets(train_set, distill.level)
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
@@ -218,32 +215,25 @@ def _prf_from_confusion(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return precision, recall, f1
 
 
-def _model_probabilities(
-    model: DenseNetwork, dataset: Dataset, hierarchy: LabelHierarchy, level: str
-) -> np.ndarray:
-    """Softmax outputs of a class- or subclass-level model on a dataset of hierarchy."""
-    width, _ = _level_targets(dataset, hierarchy, level)
+def _model_probabilities(model: DenseNetwork, dataset: Dataset, level: str) -> np.ndarray:
+    """Softmax outputs of a class- or subclass-level model on a dataset."""
+    width, _ = _level_targets(dataset, level)
     if model.num_outputs != width:
         raise ValueError(f"model width does not match {level} count")
     return softmax_temperature(forward(model, dataset.features), 1.0)
 
 
-def evaluate(
-    model: DenseNetwork,
-    dataset: Dataset,
-    hierarchy: LabelHierarchy,
-    level_of_model: str,
-) -> Metrics:
+def evaluate(model: DenseNetwork, dataset: Dataset, level_of_model: str) -> Metrics:
     """Class-level metrics; subclass models are aggregated before the argmax."""
-    probs = _model_probabilities(model, dataset, hierarchy, level_of_model)
+    probs = _model_probabilities(model, dataset, level_of_model)
     class_probs, subclass_confusion = probs, None
     if level_of_model == "subclass":
-        class_probs = aggregate_class_probabilities(probs, hierarchy)
+        class_probs = aggregate_class_probabilities(probs, dataset.hierarchy)
         subclass_confusion = _confusion(
-            dataset.subclass_labels, np.argmax(probs, axis=1), hierarchy.total_subclasses
+            dataset.subclass_labels, np.argmax(probs, axis=1), dataset.hierarchy.total_subclasses
         )
     pred = np.argmax(class_probs, axis=1)
-    conf = _confusion(dataset.class_labels, pred, hierarchy.num_classes)
+    conf = _confusion(dataset.class_labels, pred, dataset.hierarchy.num_classes)
     precision, recall, f1 = _prf_from_confusion(conf)
     return Metrics(
         class_confusion=conf,
@@ -257,7 +247,7 @@ def evaluate(
 
 
 def per_class_subclass_confusions(
-    model: DenseNetwork, dataset: Dataset, hierarchy: LabelHierarchy
+    model: DenseNetwork, dataset: Dataset
 ) -> list[Optional[np.ndarray]]:
     """Within-class subclass confusions from a subclass-level model.
 
@@ -265,7 +255,8 @@ def per_class_subclass_confusions(
     that class's own subclass columns, giving an n_c x n_c matrix indexed by
     within-class subclass position.  Single-subclass classes yield None.
     """
-    probs = _model_probabilities(model, dataset, hierarchy, "subclass")
+    hierarchy = dataset.hierarchy
+    probs = _model_probabilities(model, dataset, "subclass")
     out: list[Optional[np.ndarray]] = [None] * hierarchy.num_classes
     for c in hierarchy.split_classes:
         mask = dataset.class_labels == c

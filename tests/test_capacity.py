@@ -500,6 +500,86 @@ class TestBlahutArimoto:
         assert blahut_arimoto(ChannelSpec(P))[0] == pytest.approx(math.log2(n), abs=1e-12)
 
 
+def _relation_channels(alpha, count, seed=31):
+    """Dirichlet(alpha) channels with 2 to 8 rows and columns."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.dirichlet(np.full(n, alpha), size=m)
+        for m, n in rng.integers(2, 9, size=(count, 2)).tolist()
+    ]
+
+
+def _sole_input_channels(count, seed=37):
+    """3-6 x 3-6 Dirichlet(1) channels in which one output is reached by one input
+    alone, with P from 1e-6 to 1e-1: the input whose optimal mass can underflow."""
+    rng = np.random.default_rng(seed)
+    channels = []
+    for m, n in rng.integers(3, 7, size=(count, 2)).tolist():
+        P = rng.dirichlet(np.ones(n), size=m)
+        y = rng.integers(n)
+        P[:, y] = 0.0
+        P[rng.integers(m), y] = 10.0 ** rng.uniform(-6, -1)
+        channels.append(P / P.sum(axis=1, keepdims=True))
+    return channels
+
+
+class TestCapacityRelations:
+    """Relations every capacity obeys, each within 2 tol, checked with no reference solver.
+
+    A relation that fails is a solver defect, not a tolerance to widen.
+    """
+
+    TOL = 1e-10
+
+    @classmethod
+    def capacity(cls, P, **kwargs):
+        return blahut_arimoto(ChannelSpec(P), tol=cls.TOL, **kwargs)[0]
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0])
+    def test_relations_hold(self, alpha):
+        rng = np.random.default_rng(int(alpha * 10))
+        slack = 2 * self.TOL
+        for P in _relation_channels(alpha, 67):
+            m, n = P.shape
+            cap = self.capacity(P)
+            # relabelling inputs or outputs
+            permuted = P[rng.permutation(m)][:, rng.permutation(n)]
+            assert self.capacity(permuted) == pytest.approx(cap, abs=slack)
+            # a second copy of an input adds no way to signal
+            duplicated = np.vstack([P, P[rng.integers(m)]])
+            assert self.capacity(duplicated) == pytest.approx(cap, abs=slack)
+            # an output split into two proportional outputs tells nothing more
+            j, w = rng.integers(n), rng.uniform(0.1, 0.9)
+            split = np.hstack([P, (1.0 - w) * P[:, [j]]])
+            split[:, j] *= w
+            assert self.capacity(split) == pytest.approx(cap, abs=slack)
+            # processing the output can only lose information
+            garbling = rng.dirichlet(np.ones(rng.integers(2, 9)), size=n)
+            assert self.capacity(P @ garbling) <= cap + slack
+            assert cap <= math.log2(min(m, n)) + slack
+
+    def test_sole_input_permutation_fails_alike(self):
+        # the permuted channel must raise ConvergenceError exactly when the original
+        # does; the small budget keeps the channels that fail cheap
+        rng = np.random.default_rng(41)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for P in _sole_input_channels(40):
+                m, n = P.shape
+                permuted = P[rng.permutation(m)][:, rng.permutation(n)]
+                caps = []
+                for channel in (P, permuted):
+                    try:
+                        caps.append(self.capacity(channel, max_iters=300))
+                    except ConvergenceError:
+                        caps.append(None)
+                assert (caps[0] is None) == (caps[1] is None)
+                if caps[0] is not None:
+                    assert caps[1] == pytest.approx(caps[0], abs=2 * self.TOL)
+                outcomes.append(caps[0] is None)
+        assert any(outcomes) and not all(outcomes)
+
+
 class TestQscCapacity:
     def test_tagged_values(self):
         assert qsc_capacity(2, 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import skdlab
+from skdlab import cli, experiment
 from skdlab.capacity import bac_capacity, qsc_capacity
 from skdlab.cli import _experiment_config, _ini_schema, _load_ini, main
-from skdlab.experiment import ExperimentConfig
+from skdlab.data import generate_synthetic, split_dataset
+from skdlab.experiment import VARIANTS, ExperimentConfig
 from skdlab.network import init_network, save_checkpoint
+from skdlab.training import student_train_config, train_student, train_teacher
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -465,6 +468,67 @@ class TestTrainCommand:
             "--role", "teacher", "-o", str(tmp_path / "t"),
         )
         assert code == 2 and "missing" in err
+
+
+class TestTrainingKeywords:
+    """perfbench's tracer names each training span from the label_level and cfg keywords.
+
+    A call that passed them by position would be counted under another variant's name.
+    """
+
+    @staticmethod
+    def record_calls(monkeypatch, module, calls):
+        for name in ("train_teacher", "train_student"):
+            def recorder(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorder)
+
+    @staticmethod
+    def span_name(name, kwargs):
+        """The variant a span is counted under, read from the keywords alone."""
+        if name == "train_teacher":
+            return f"teacher_{kwargs['label_level']}"
+        return f"student_{kwargs['cfg'].distill.mode}"
+
+    def test_train_variants_passes_keywords(self, monkeypatch):
+        calls = []
+        self.record_calls(monkeypatch, experiment, calls)
+        cfg = replace(
+            ExperimentConfig(samples_per_subclass=(12, 12, 26, 26)),
+            teacher=replace(ExperimentConfig.teacher, epochs=1),
+            student=replace(ExperimentConfig.student, epochs=1),
+        )
+        train_set, _ = split_dataset(generate_synthetic(cfg.data_spec(5)), cfg.train_fraction, 5)
+        experiment.train_variants(cfg, 5, train_set)
+        assert all(args == (train_set,) for _, args, _ in calls)
+        assert [self.span_name(name, kwargs) for name, _, kwargs in calls] == list(VARIANTS)
+
+    @pytest.mark.parametrize(
+        "flags, variant",
+        [(["--role", "teacher", "--labels", "class"], "teacher_class"),
+         (["--role", "student", "--mode", "subclass"], "student_subclass")],
+        ids=["teacher", "student"],
+    )
+    def test_cmd_train_passes_keywords(
+        self, capsys, monkeypatch, tiny_config, data_dir, tmp_path, flags, variant
+    ):
+        calls = []
+        self.record_calls(monkeypatch, cli, calls)
+        code, _, _ = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir), *flags,
+            "-o", str(tmp_path / "out"),
+        )
+        assert code == 0
+        [(name, args, kwargs)] = calls
+        assert len(args) == 1 and self.span_name(name, kwargs) == variant
+
+    @pytest.mark.parametrize("train", [train_teacher, train_student])
+    def test_positional_cfg_rejected(self, data_dir, train):
+        train_set, _ = cli._load_data_dir(data_dir)
+        with pytest.raises(TypeError):
+            train(train_set, student_train_config(epochs=1))
 
 
 class TestEvaluateCommand:

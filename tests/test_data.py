@@ -163,13 +163,19 @@ class TestSplitDataset:
 
 
 class TestDatasetValidation:
-    def test_inconsistent_class_labels_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 2)), [0, 3], [0, 0], SL22)  # subclass 3 is class 1
+    def test_class_labels_follow_hierarchy(self):
+        ds = Dataset(np.zeros((3, 2)), [0, 3, 2], SL22)  # SL22: subclasses 0, 1 | 2, 3
+        np.testing.assert_array_equal(ds.class_labels, [0, 1, 1])
+
+    def test_load_rejects_class_that_does_not_own_subclass(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("f0,f1,subclass,class\n0.0,0.0,0,0\n0.0,0.0,3,0\n")  # subclass 3 is class 1
+        with pytest.raises(ValueError, match=r":3: class 0 does not own subclass 3"):
+            load_dataset(p, SL22)
 
     def test_out_of_range_subclass_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((1, 2)), [4], [1], SL22)
+            Dataset(np.zeros((1, 2)), [4], SL22)
 
 
 class TestRoundTrips:

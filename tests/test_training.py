@@ -29,13 +29,13 @@ def split():
 
 @pytest.fixture(scope="module")
 def subclass_teacher(split):
-    return train_teacher(split[0], SL22, teacher_train_config(seed=1, epochs=4)).network
+    return train_teacher(split[0], cfg=teacher_train_config(seed=1, epochs=4)).network
 
 
 @pytest.fixture(scope="module")
 def class_teacher(split):
     return train_teacher(
-        split[0], SL22, teacher_train_config(seed=1, epochs=4), label_level="class"
+        split[0], cfg=teacher_train_config(seed=1, epochs=4), label_level="class"
     ).network
 
 
@@ -83,8 +83,8 @@ class TestTrainTeacher:
     def test_level_selects_output_width(self):
         train, _ = make_split()
         cfg = teacher_train_config(seed=1, epochs=2)
-        sub = train_teacher(train, SL22, cfg, label_level="subclass")
-        cls = train_teacher(train, SL22, cfg, label_level="class")
+        sub = train_teacher(train, cfg=cfg, label_level="subclass")
+        cls = train_teacher(train, cfg=cfg, label_level="class")
         assert sub.network.num_outputs == 4
         assert cls.network.num_outputs == 2
         assert len(sub.loss_per_epoch) == 2
@@ -92,30 +92,24 @@ class TestTrainTeacher:
     def test_unknown_level_rejected(self):
         train, _ = make_split()
         with pytest.raises(ValueError):
-            train_teacher(train, SL22, teacher_train_config(epochs=1), label_level="coarse")
+            train_teacher(train, cfg=teacher_train_config(epochs=1), label_level="coarse")
 
     def test_empty_training_set_rejected(self):
-        empty = Dataset(np.zeros((0, 2)), [], [], SL22)
+        empty = Dataset(np.zeros((0, 2)), [], SL22)
         with pytest.raises(ValueError):
-            train_teacher(empty, SL22, teacher_train_config(epochs=1))
-
-    def test_hierarchy_mismatch_rejected(self):
-        train, _ = make_split()
-        other = build_task_preset("SL12")
-        with pytest.raises(ValueError):
-            train_teacher(train, other, teacher_train_config(epochs=1))
+            train_teacher(empty, cfg=teacher_train_config(epochs=1))
 
     def test_run_to_run_bitwise_identical(self):
         train, _ = make_split()
         cfg = teacher_train_config(seed=4, epochs=3)
-        a = train_teacher(train, SL22, cfg)
-        b = train_teacher(train, SL22, cfg)
+        a = train_teacher(train, cfg=cfg)
+        b = train_teacher(train, cfg=cfg)
         assert nets_identical(a.network, b.network)
         assert a.loss_per_epoch == b.loss_per_epoch
 
     def test_loss_decreases_on_easy_data(self):
         train, _ = make_split(difficulty=0.0, seed=3)
-        r = train_teacher(train, SL22, teacher_train_config(seed=3, epochs=10))
+        r = train_teacher(train, cfg=teacher_train_config(seed=3, epochs=10))
         assert r.loss_per_epoch[-1] < r.loss_per_epoch[0]
 
 
@@ -123,33 +117,33 @@ class TestStudentModes:
     def test_baseline_rejects_teacher(self, split, class_teacher):
         cfg = student_train_config(seed=2, epochs=1, distill=DistillConfig("baseline"))
         with pytest.raises(ValueError, match="takes no teacher"):
-            train_student(split[0], SL22, cfg, teacher=class_teacher)
+            train_student(split[0], cfg=cfg, teacher=class_teacher)
 
     def test_kd_requires_teacher(self, split):
         cfg = student_train_config(seed=2, epochs=1, distill=DistillConfig("kd", tau=128.0))
         with pytest.raises(ValueError, match="requires a teacher"):
-            train_student(split[0], SL22, cfg)
+            train_student(split[0], cfg=cfg)
 
     def test_level_mismatch_detected(self, split, class_teacher, subclass_teacher):
         skd = student_train_config(seed=2, epochs=1, distill=DistillConfig("skd", tau=5.0))
         with pytest.raises(ValueError, match="teacher level mismatch"):
-            train_student(split[0], SL22, skd, teacher=class_teacher)
+            train_student(split[0], cfg=skd, teacher=class_teacher)
         kd = student_train_config(seed=2, epochs=1, distill=DistillConfig("kd", tau=128.0))
         with pytest.raises(ValueError, match="teacher level mismatch"):
-            train_student(split[0], SL22, kd, teacher=subclass_teacher)
+            train_student(split[0], cfg=kd, teacher=subclass_teacher)
 
     def test_teacher_stays_frozen(self, split, subclass_teacher):
         before = subclass_teacher.params.copy()
         cfg = student_train_config(seed=7, epochs=2, distill=DistillConfig("skd", tau=5.0))
-        train_student(split[0], SL22, cfg, teacher=subclass_teacher)
+        train_student(split[0], cfg=cfg, teacher=subclass_teacher)
         assert np.array_equal(before, subclass_teacher.params)
 
     @pytest.mark.parametrize("level, mode", [("class", "baseline"), ("subclass", "subclass")])
     def test_baseline_equals_class_level_training(self, split, level, mode):
         # same config, same streams: the two entry points must coincide bitwise
         cfg = student_train_config(seed=5, epochs=3, distill=DistillConfig(mode))
-        via_student = train_student(split[0], SL22, cfg)
-        via_teacher = train_teacher(split[0], SL22, cfg, label_level=level)
+        via_student = train_student(split[0], cfg=cfg)
+        via_teacher = train_teacher(split[0], cfg=cfg, label_level=level)
         assert nets_identical(via_student.network, via_teacher.network)
         assert via_student.loss_per_epoch == via_teacher.loss_per_epoch
 
@@ -159,8 +153,8 @@ class TestStudentModes:
             seed=6, epochs=3, distill=DistillConfig("skd", tau=5.0, lam=1.0)
         )
         plain = student_train_config(seed=6, epochs=3, distill=DistillConfig("subclass"))
-        a = train_student(split[0], SL22, skd, teacher=subclass_teacher)
-        b = train_student(split[0], SL22, plain)
+        a = train_student(split[0], cfg=skd, teacher=subclass_teacher)
+        b = train_student(split[0], cfg=plain)
         assert a.loss_per_epoch == b.loss_per_epoch
         assert nets_identical(a.network, b.network)
 
@@ -184,7 +178,7 @@ class TestStudentModes:
         for mode, (teacher, width) in cases.items():
             tau = 5.0 if mode == "skd" else 128.0 if mode == "kd" else 1.0
             cfg = student_train_config(seed=3, epochs=1, distill=DistillConfig(mode, tau=tau))
-            r = train_student(train, SL22, cfg, teacher=teacher)
+            r = train_student(train, cfg=cfg, teacher=teacher)
             assert r.network.num_outputs == width, mode
 
     @pytest.mark.parametrize("mode", ["subclass", "skd"])
@@ -200,7 +194,7 @@ class TestStudentModes:
         distill = DistillConfig(mode, tau=5.0)
         cfg = student_train_config(seed=3, epochs=3, batch_size=16, distill=distill)
         teacher = subclass_teacher if mode == "skd" else None
-        train_student(split[0], SL22, cfg, teacher=teacher)
+        train_student(split[0], cfg=cfg, teacher=teacher)
         steps = 3 * math.ceil(len(split[0]) / 16)
         assert len(split[0]) % 16 and calls == {"backward": steps, "optimizer_step": steps}
 
@@ -212,7 +206,7 @@ class TestDivergence:
         cfg = student_train_config(seed=1, epochs=1, learning_rate=1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^non-finite loss$"):
-                train_student(split[0], SL22, cfg)
+                train_student(split[0], cfg=cfg)
 
 
 class TestSeparability:
@@ -221,8 +215,8 @@ class TestSeparability:
         # so both the network and a nearest-centroid rule should be near-perfect
         spec = SyntheticSpec(SL22, (60, 60, 120, 120), 0.0, 2, 17)
         train, _ = split_dataset(generate_synthetic(spec), 0.5, 17)
-        result = train_teacher(train, SL22, teacher_train_config(seed=17, epochs=50))
-        m = evaluate(result.network, train, SL22, "subclass")
+        result = train_teacher(train, cfg=teacher_train_config(seed=17, epochs=50))
+        m = evaluate(result.network, train, "subclass")
         acc = np.trace(m.class_confusion) / m.class_confusion.sum()
         assert acc >= 0.99
 
@@ -252,8 +246,8 @@ class TestEvaluate:
         # predictions 0,0,1 | 0,1,1,1,1,1,1 give confusion [[2,1],[1,6]]
         preds = np.array([0, 0, 1, 0, 1, 1, 1, 1, 1, 1])
         feats = np.eye(2)[preds] * 4.0
-        ds = Dataset(feats, labels, labels, h)
-        m = evaluate(logit_injector(2), ds, h, "class")
+        ds = Dataset(feats, labels, h)
+        m = evaluate(logit_injector(2), ds, "class")
         np.testing.assert_array_equal(m.class_confusion, [[2, 1], [1, 6]])
         assert m.precision[0] == pytest.approx(2 / 3, abs=1e-15)
         assert m.recall[0] == pytest.approx(2 / 3, abs=1e-15)
@@ -264,8 +258,8 @@ class TestEvaluate:
 
     def test_f1_recoverable_from_confusion(self):
         train, test = make_split()
-        r = train_teacher(train, SL22, teacher_train_config(seed=2, epochs=5))
-        m = evaluate(r.network, test, SL22, "subclass")
+        r = train_teacher(train, cfg=teacher_train_config(seed=2, epochs=5))
+        m = evaluate(r.network, test, "subclass")
         conf = m.class_confusion.astype(float)
         tp = np.diag(conf)
         p = tp / conf.sum(axis=0)
@@ -277,23 +271,23 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         h = build_task_preset("ClassLevel")
         labels = np.array([0, 0, 1, 1])
-        ds = Dataset(np.eye(2)[labels], labels, labels, h)
-        m = evaluate(logit_injector(2), ds, h, "class")
+        ds = Dataset(np.eye(2)[labels], labels, h)
+        m = evaluate(logit_injector(2), ds, "class")
         assert m.binary_f1 == 1.0 and m.macro_f1 == 1.0
 
     def test_constant_predictor_scores_zero_on_minority(self):
         h = build_task_preset("ClassLevel")
         labels = np.array([0, 1, 1, 1])
         feats = np.tile([0.0, 5.0], (4, 1))  # always predicts class 1
-        ds = Dataset(feats, labels, labels, h)
-        m = evaluate(logit_injector(2), ds, h, "class")
+        ds = Dataset(feats, labels, h)
+        m = evaluate(logit_injector(2), ds, "class")
         assert m.binary_f1 == 0.0
 
     def test_subclass_model_aggregates_before_class_argmax(self):
         # mass 0.3+0.3 on class 0 beats 0.4 on class 1's best subclass
         logits = np.log(np.array([[0.3, 0.3, 0.4, 0.0001]]))
-        ds = Dataset(logits, [0], [0], SL22)
-        m = evaluate(logit_injector(4), ds, SL22, "subclass")
+        ds = Dataset(logits, [0], SL22)
+        m = evaluate(logit_injector(4), ds, "subclass")
         np.testing.assert_array_equal(m.class_confusion, [[1, 0], [0, 0]])
         # the subclass argmax is global, recorded alongside
         assert m.subclass_confusion[0, 2] == 1
@@ -301,23 +295,23 @@ class TestEvaluate:
     def test_width_mismatch_rejected(self):
         h = build_task_preset("ClassLevel")
         labels = np.array([0, 1])
-        ds = Dataset(np.eye(2), labels, labels, h)
+        ds = Dataset(np.eye(2), labels, h)
         with pytest.raises(ValueError):
-            evaluate(logit_injector(3), ds, h, "class")
+            evaluate(logit_injector(3), ds, "class")
         with pytest.raises(ValueError):
-            evaluate(logit_injector(2), ds, h, "bogus")
+            evaluate(logit_injector(2), ds, "bogus")
 
     def test_empty_dataset_rejected(self):
         h = build_task_preset("ClassLevel")
-        ds = Dataset(np.zeros((0, 2)), [], [], h)
+        ds = Dataset(np.zeros((0, 2)), [], h)
         with pytest.raises(ValueError):
-            evaluate(logit_injector(2), ds, h, "class")
+            evaluate(logit_injector(2), ds, "class")
 
     def test_metrics_to_dict_round_trip(self):
         h = build_task_preset("ClassLevel")
         labels = np.array([0, 1])
-        ds = Dataset(np.eye(2), labels, labels, h)
-        d = evaluate(logit_injector(2), ds, h, "class").to_dict()
+        ds = Dataset(np.eye(2), labels, h)
+        d = evaluate(logit_injector(2), ds, "class").to_dict()
         assert d["class_confusion"] == [[1, 0], [0, 1]]
         assert isinstance(d["binary_f1"], float)
         assert "subclass_confusion" not in d
@@ -333,32 +327,25 @@ class TestSubclassConfusions:
                 [0.10, 0.20, 0.50, 0.00],
             ]
         )
-        ds = Dataset(logits, [0, 1], [0, 0], SL22)
-        confs = per_class_subclass_confusions(logit_injector(4), ds, SL22)
+        ds = Dataset(logits, [0, 1], SL22)
+        confs = per_class_subclass_confusions(logit_injector(4), ds)
         np.testing.assert_array_equal(confs[0], [[1, 0], [0, 1]])
         np.testing.assert_array_equal(confs[1], [[0, 0], [0, 0]])
 
     def test_single_subclass_class_yields_none(self):
         h = build_task_preset("SL12")
         logits = np.array([[1.0, 0.0, 0.0]])
-        ds = Dataset(logits, [0], [0], h)
-        confs = per_class_subclass_confusions(logit_injector(3), ds, h)
+        ds = Dataset(logits, [0], h)
+        confs = per_class_subclass_confusions(logit_injector(3), ds)
         assert confs[0] is None
         assert confs[1].shape == (2, 2)
 
     def test_width_checked(self):
-        ds = Dataset(np.zeros((1, 2)), [0], [0], SL22)
+        ds = Dataset(np.zeros((1, 2)), [0], SL22)
         with pytest.raises(ValueError):
-            per_class_subclass_confusions(logit_injector(2), ds, SL22)
-
-    def test_hierarchy_checked(self):
-        # SL12 and SL21 both have 3 subclasses, so only the hierarchy check tells them apart
-        sl12, sl21 = build_task_preset("SL12"), build_task_preset("SL21")
-        ds = Dataset(np.eye(3), [0, 1, 2], [0, 1, 1], sl12)
-        with pytest.raises(ValueError, match="hierarchy"):
-            per_class_subclass_confusions(logit_injector(3), ds, sl21)
+            per_class_subclass_confusions(logit_injector(2), ds)
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(np.zeros((0, 4)), [], [], SL22)
+        ds = Dataset(np.zeros((0, 4)), [], SL22)
         with pytest.raises(ValueError, match="empty"):
-            per_class_subclass_confusions(logit_injector(4), ds, SL22)
+            per_class_subclass_confusions(logit_injector(4), ds)
