@@ -1,8 +1,9 @@
 """Command-line front end: generate | train | evaluate | experiment | bits | capacity.
 
-Exit codes: 0 on success, 2 for usage or configuration problems (bad flags,
-bad config values, missing input files, mismatched checkpoints), 1 for
-runtime failures (divergence, non-convergence, write errors).
+Exit codes: 0 on success; 2 for a bad flag or config value, or an input
+file that is missing, is not a file, or is malformed (a mismatched
+checkpoint included), with the file named on stderr; 1 for runtime failures
+(divergence, non-convergence, a failed write).
 
 Configs are INI files with one section per role; every key has a desk-scale
 default, so an empty file is a valid config.  A section or key not listed
@@ -77,10 +78,16 @@ from .training import evaluate, train_student, train_teacher
 # Config parsing.
 
 
-def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
+def _input_file(path, missing: str) -> Path:
+    """path as a Path; a ValueError "<missing>: <path>" unless it names a file."""
     p = Path(path)
     if not p.is_file():
-        raise ValueError(f"config not found: {p}")
+        raise ValueError(f"{missing}: {p}")
+    return p
+
+
+def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
+    p = _input_file(path, "config not found")
     text = p.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -166,9 +173,7 @@ def _experiment_config(parser) -> ExperimentConfig:
 
 def _read_matrix(path, counts: bool = False) -> np.ndarray:
     """The CSV's rows as a float matrix; with counts, every cell must be a whole number."""
-    p = Path(path)
-    if not p.is_file():
-        raise ValueError(f"matrix file not found: {p}")
+    p = _input_file(path, "matrix file not found")
     rows = []
     with p.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -216,12 +221,12 @@ def cmd_generate(args) -> int:
 
 
 def _load_data_dir(data_dir):
-    d = Path(data_dir)
-    for name in ("hierarchy.json", "train.csv", "test.csv"):
-        if not (d / name).is_file():
-            raise ValueError(f"data directory is missing {d / name}")
-    hierarchy = load_hierarchy(d / "hierarchy.json")
-    return load_dataset(d / "train.csv", hierarchy), load_dataset(d / "test.csv", hierarchy)
+    hier, train, test = (
+        _input_file(Path(data_dir, name), "data directory is missing")
+        for name in ("hierarchy.json", "train.csv", "test.csv")
+    )
+    hierarchy = load_hierarchy(hier)
+    return load_dataset(train, hierarchy), load_dataset(test, hierarchy)
 
 
 def cmd_train(args) -> int:
@@ -245,10 +250,7 @@ def cmd_train(args) -> int:
         if distill.uses_teacher:
             if args.teacher is None:
                 raise ValueError(f"--mode {args.mode} requires --teacher")
-            teacher_path = Path(args.teacher)
-            if not teacher_path.is_file():
-                raise ValueError(f"teacher checkpoint not found: {teacher_path}")
-            teacher, meta = load_checkpoint(teacher_path)
+            teacher, meta = load_checkpoint(_input_file(args.teacher, "teacher checkpoint not found"))
             got = meta.get("label_level")
             if got != level:
                 raise ValueError(
@@ -289,9 +291,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
-        raise ValueError(f"checkpoint not found: {ckpt_path}")
+    ckpt_path = _input_file(args.checkpoint, "checkpoint not found")
     net, meta = load_checkpoint(ckpt_path)
     level = meta.get("label_level")
     if level not in (None, "class", "subclass"):
@@ -369,7 +369,7 @@ def cmd_bits(args) -> int:
     if args.from_confusion is not None:
         if args.hierarchy is None:
             raise ValueError("--from-confusion requires --hierarchy")
-        hierarchy = load_hierarchy(Path(args.hierarchy))
+        hierarchy = load_hierarchy(_input_file(args.hierarchy, "hierarchy not found"))
         n = hierarchy.num_classes
         class_conf = _read_confusion(args.from_confusion, n, "class confusion")
         split = hierarchy.split_classes
@@ -485,8 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # bad flags, config values, input files, or paths found inside the library layer
+    except ValueError as exc:  # bad flags, config values or input files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -113,6 +113,18 @@ class TestCapacityCommand:
         code, out, err = run(capsys, "capacity", "--matrix", str(m))
         assert code == 2 and out == "" and "bad.csv:2: non-finite" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0.9,x\n0.1,0.9\n", "bad.csv:1: could not convert string to float"),
+         ("\n \n,\n", "bad.csv: no rows")],
+        ids=["non-number", "blank-lines"],
+    )
+    def test_malformed_matrix_is_named(self, capsys, tmp_path, text, message):
+        m = tmp_path / "bad.csv"
+        m.write_text(text)
+        code, out, err = run(capsys, "capacity", "--matrix", str(m))
+        assert code == 2 and out == "" and err.startswith(f"error: {tmp_path / message}"), err
+
     def test_channel_selection_is_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["capacity"])
@@ -240,7 +252,9 @@ class TestBitsCommand:
         assert code == 2 and "hierarchy.json: subclasses_per_class must be a list of integers" in err
 
     @pytest.mark.parametrize(
-        "text", ["{bad", '{"subclasses_per_class": [0, 2]}', '{"subclasses_per_class": []}']
+        "text",
+        ["{bad", '{"subclasses_per_class": [0, 2]}', '{"subclasses_per_class": []}',
+         '{"subclasses": [1, 2]}'],
     )
     def test_bad_hierarchy_file_is_named(self, capsys, tmp_path, text):
         hier = tmp_path / "hierarchy.json"
@@ -251,6 +265,17 @@ class TestBitsCommand:
             capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
         )
         assert code == 2 and err.startswith(f"error: {hier}: "), err
+
+    @pytest.mark.parametrize("name", ["directory", "missing.json"])
+    def test_hierarchy_must_be_a_file(self, capsys, tmp_path, name):
+        (tmp_path / "directory").mkdir()
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,10\n20,80\n")
+        code, _, err = run(
+            capsys, "bits", "--from-confusion", str(class_csv),
+            "--hierarchy", str(tmp_path / name),
+        )
+        assert code == 2 and f"hierarchy not found: {tmp_path / name}" in err, err
 
     @pytest.mark.parametrize(
         "bad, text, message",
@@ -334,7 +359,8 @@ class TestGenerateCommand:
          ("[experiment]\nn_seeds = 1\n", "[experiment] n_seeds: n_seeds must be at least 2"),
          ("[data]\nseed = -1\n", "[data] seed: seed must be non-negative"),
          ("[data]\nsamples_per_subclass = 1,12,26,26\n",
-          "[data] samples_per_subclass: a subclass of 1 sample cannot split")],
+          "[data] samples_per_subclass: a subclass of 1 sample cannot split"),
+         ("epochs = 4\n", "bad.ini: File contains no section headers")],
     )
     def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.ini"
@@ -460,6 +486,26 @@ class TestTrainCommand:
         )
         assert code == 2 and "train.csv:4: non-finite feature" in err
         assert not (tmp_path / "t").exists()  # rejected before training
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "train.csv: no samples"),
+         ("f0,f1,sub,class\n0.5,0.5,0,0\n", "train.csv: malformed header"),
+         ("x0,f1,subclass,class\n0.5,0.5,0,0\n", "train.csv: malformed feature columns"),
+         ("f0,f1,subclass,class\n0.5,0.5,0\n", "train.csv:2: expected 4 fields, got 3"),
+         ("f0,f1,subclass,class\n0.5,0.5,4,1\n", "train.csv:2: subclass index 4 out of range")],
+        ids=["empty", "header", "feature-columns", "field-count", "subclass-range"],
+    )
+    def test_malformed_data_csv_is_named(
+        self, capsys, tiny_config, data_dir, tmp_path, text, message
+    ):
+        (data_dir / "train.csv").write_text(text)
+        code, _, err = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "-o", str(tmp_path / "t"),
+        )
+        assert code == 2 and err.startswith(f"error: {data_dir / message}"), err
+        assert not (tmp_path / "t").exists()
 
     def test_missing_data_dir_file(self, capsys, tiny_config, data_dir, tmp_path):
         (data_dir / "test.csv").unlink()
@@ -659,6 +705,15 @@ class TestEvaluateCommand:
             ):
                 code, _, err = run(capsys, *command, "--data", str(data_dir))
                 assert code == 2 and "checkpoint.json" in err, (command[0], text)
+
+    def test_failed_write_is_a_runtime_error(self, capsys, data_dir, tmp_path):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_network((2, 3, 2), seed=0), ckpt)
+        code, out, err = run(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data_dir),
+            "-o", str(tmp_path / "missing" / "e.json"),
+        )
+        assert code == 1 and out.splitlines()[-1].startswith("binary_f1=") and "e.json" in err, err
 
     def test_missing_checkpoint(self, capsys, data_dir):
         code, _, err = run(
