@@ -649,6 +649,8 @@ def label_bits_report(
     if len(sub_confs) != hierarchy.num_classes:
         raise ValueError("need one subclass confusion (or None) per class")
     counts = tuple(tuple(int(n) for n in row) for row in counts)
+    if len(counts) != hierarchy.num_classes:
+        raise ValueError("counts shape does not match the hierarchy")
     for c in range(hierarchy.num_classes):
         n_c = hierarchy.subclasses_per_class[c]
         if n_c > 1:

@@ -6,40 +6,12 @@ checkpoint included), with the file named on stderr; 1 for runtime failures
 (divergence, non-convergence, a failed write).
 
 Configs are INI files with one section per role; every key has a desk-scale
-default, so an empty file is a valid config.  A section or key not listed
-below is rejected with exit code 2 instead of being ignored.  The raw config
-text is echoed into each report for provenance.  All randomness flows from
-the single ``seed`` key in ``[data]``.  Values are read literally: a ``%``
-is an ordinary character, not an interpolation.
-
-    [data]
-    task = SL22                        ; ClassLevel | SL21 | SL22 | SL12
-    samples_per_subclass = 248,248,540,540
-    difficulty = 0.2,0.8,0.2,0.8
-    feature_dim = 2
-    train_fraction = 0.5
-    seed = 1000
-
-    [teacher]
-    hidden_layers = 64,32
-    epochs = 40
-    batch_size = 32
-    learning_rate = 0.001
-    weight_decay = 0.0005
-    lr_decay = 0.91
-
-    [student]
-    hidden_layers = 8
-    epochs = 30
-    ; remaining keys as in [teacher]
-
-    [distill]
-    tau_skd = 5.0
-    tau_kd = 128.0
-    lam = 0.45
-
-    [experiment]
-    n_seeds = 30
+default, so an empty file is a valid config.  README's "Config format" lists
+the sections, keys and defaults; a section or key not listed there is
+rejected with exit code 2 instead of being ignored.  The raw config text is
+echoed into each report for provenance.  All randomness flows from the single
+``seed`` key in ``[data]``.  Values are read literally: a ``%`` is an
+ordinary character, not an interpolation.
 """
 from __future__ import annotations
 
@@ -91,7 +63,7 @@ def _load_ini(path) -> tuple[configparser.ConfigParser, str]:
     text = p.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=str(p))
     except configparser.Error as exc:
         raise ValueError(f"{p}: {exc}") from exc
     return parser, text
@@ -229,6 +201,30 @@ def _load_data_dir(data_dir):
     return load_dataset(train, hierarchy), load_dataset(test, hierarchy)
 
 
+def _read_model(path, missing: str, data) -> tuple:
+    """(network, label level) of the checkpoint at path, checked to fit data.
+
+    The level is the checkpoint's label_level; one saved without it is read at
+    subclass level when some class is split and its output width is the
+    subclass count, else at class level.  A level other than those two, or a
+    network whose input or output width does not fit data, is a ValueError
+    naming path.
+    """
+    p = _input_file(path, missing)
+    net, meta = load_checkpoint(p)
+    h = data.hierarchy
+    level = meta.get("label_level")
+    if level is None:
+        level = "subclass" if h.split_classes and net.num_outputs == h.total_subclasses else "class"
+    elif level not in ("class", "subclass"):
+        raise ValueError(f"{p}: label_level must be 'class' or 'subclass', got {level!r}")
+    labels = h.total_subclasses if level == "subclass" else h.num_classes
+    if (net.layer_dims[0], net.num_outputs) != (data.feature_dim, labels):
+        raise ValueError(f"{p}: network width {net.layer_dims[0]} -> {net.num_outputs} does not "
+                         f"fit {data.feature_dim} features -> {labels} {level} labels")
+    return net, level
+
+
 def cmd_train(args) -> int:
     parser, cfg_text = _load_ini(args.config)
     cfg = _experiment_config(parser)
@@ -250,12 +246,11 @@ def cmd_train(args) -> int:
         if distill.uses_teacher:
             if args.teacher is None:
                 raise ValueError(f"--mode {args.mode} requires --teacher")
-            teacher, meta = load_checkpoint(_input_file(args.teacher, "teacher checkpoint not found"))
-            got = meta.get("label_level")
+            teacher, got = _read_model(args.teacher, "teacher checkpoint not found", train_set)
             if got != level:
                 raise ValueError(
-                    f"teacher level mismatch: --mode {args.mode} needs a {level}-level "
-                    f"teacher, checkpoint is {got!r}"
+                    f"{args.teacher}: teacher level mismatch: --mode {args.mode} needs a "
+                    f"{level}-level teacher, checkpoint is {got!r}"
                 )
         else:
             teacher = None
@@ -291,16 +286,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt_path = _input_file(args.checkpoint, "checkpoint not found")
-    net, meta = load_checkpoint(ckpt_path)
-    level = meta.get("label_level")
-    if level not in (None, "class", "subclass"):
-        raise ValueError(f"{ckpt_path}: label_level must be 'class' or 'subclass', got {level!r}")
     train_set, test_set = _load_data_dir(args.data)
     dataset = train_set if args.split == "train" else test_set
-    if level is None:  # saved without one: the level its output width names
-        h = dataset.hierarchy
-        level = "subclass" if h.split_classes and net.num_outputs == h.total_subclasses else "class"
+    net, level = _read_model(args.checkpoint, "checkpoint not found", dataset)
     metrics = evaluate(net, dataset, level)
     print(f"binary_f1={metrics.binary_f1:.6f} macro_f1={metrics.macro_f1:.6f}")
     if args.out:
@@ -384,6 +372,10 @@ def cmd_bits(args) -> int:
             sub_confs[c] = _read_confusion(
                 path, hierarchy.subclasses_per_class[c], f"class {c} subclass confusion"
             )
+            held, row_total = sub_confs[c].sum(), class_conf[c].sum()
+            if held != row_total:
+                raise ValueError(f"{path}: class {c} subclass confusion holds {held:.0f} samples, "
+                                 f"its class confusion row {row_total:.0f}")
         counts = counts_from_confusions(class_conf, sub_confs)
         row = label_bits_report(class_conf, sub_confs, hierarchy, counts, task=args.task)
     else:

@@ -989,6 +989,14 @@ class TestLabelBitsReport:
         h = build_task_preset("SL12")
         with pytest.raises(ValueError):
             label_bits_report([[90, 10]], [None, [[1, 0], [0, 1]]], h, ((1,), (1, 1)))
+        # one class row of counts too many, or too few, on either route
+        for task in ("SL21", "SL22"):
+            h = build_task_preset(task)
+            subs = [[[45, 5], [5, 45]] if n > 1 else None for n in h.subclasses_per_class]
+            counts = tuple((50,) * n for n in h.subclasses_per_class)
+            for bad in (counts + ((7, 7),), counts[:-1]):
+                with pytest.raises(ValueError, match="counts shape does not match the hierarchy"):
+                    label_bits_report([[90, 10], [20, 80]], subs, h, bad)
 
     EDGE_CONFUSIONS = {
         "perfect": [[60, 0], [0, 60]],

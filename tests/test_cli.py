@@ -58,6 +58,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a subclass-level checkpoint and the data it does not fit: a 3-feature network on 2-D
+# SL22 data, or an SL22 subclass network (4 outputs) on SL21 data (3 subclasses)
+MISFITS = {
+    "input-width": (TINY_INI, (3, 8, 4)),
+    "output-width": (
+        "[data]\ntask = SL21\nsamples_per_subclass = 12,12,26\ndifficulty = 0.2,0.8,0.2\n",
+        (2, 8, 4),
+    ),
+}
+
+
+def misfit_checkpoint(tmp_path, misfit):
+    ini_text, layer_dims = MISFITS[misfit]
+    ini = tmp_path / "misfit.ini"
+    ini.write_text(ini_text)
+    data = tmp_path / "misfit_data"
+    assert main(["generate", "-c", str(ini), "-o", str(data)]) == 0
+    ckpt = tmp_path / "misfit.json"
+    save_checkpoint(init_network(layer_dims, seed=0), ckpt, extra={"label_level": "subclass"})
+    return ckpt, data
+
+
 class TestCapacityCommand:
     def test_symmetric_channel(self, capsys):
         code, out, _ = run(capsys, "capacity", "--qsc", "4", "0.7")
@@ -287,10 +309,12 @@ class TestBitsCommand:
             ("sub", "0,0\n10,40\n", "sub.csv:1: all-zero row"),
             ("class", "90,10\n20,80.7\n", "class.csv:2: confusion counts must be whole numbers"),
             ("sub", "40,10\n10,39.5\n", "sub.csv:2: confusion counts must be whole numbers"),
+            ("sub", "30,10\n10,10\n",
+             "sub.csv: class 0 subclass confusion holds 60 samples, its class confusion row 100"),
         ],
         ids=[
             "sub-shape", "sub-negative", "class-negative", "class-zero-row", "sub-zero-row",
-            "class-fraction", "sub-fraction",
+            "class-fraction", "sub-fraction", "sub-total",
         ],
     )
     def test_bad_confusion_file_is_named(self, capsys, tmp_path, bad, text, message):
@@ -367,6 +391,7 @@ class TestGenerateCommand:
         bad.write_text(text)
         code, _, err = run(capsys, "generate", "-c", str(bad), "-o", str(tmp_path / "x"))
         assert code == 2 and named in err
+        assert "<string>" not in err, err
 
     def test_count_arity_checked(self, capsys, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -473,6 +498,36 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "teacher level mismatch" in err and "'subclass'" in err
+
+    @pytest.mark.parametrize("misfit", list(MISFITS))
+    def test_teacher_that_does_not_fit_the_data_is_named(self, capsys, tiny_config, tmp_path, misfit):
+        ckpt, data = misfit_checkpoint(tmp_path, misfit)
+        code, _, err = run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data),
+            "--role", "student", "--mode", "skd", "--teacher", str(ckpt), "-o", str(tmp_path / "s"),
+        )
+        assert code == 2 and err.startswith(f"error: {ckpt}: ") and "width" in err, err
+        assert not (tmp_path / "s").exists()
+
+    def test_teacher_without_level_is_read_at_its_width(self, capsys, tiny_config, data_dir, tmp_path):
+        tdir = tmp_path / "teacher"
+        run(
+            capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+            "--role", "teacher", "-o", str(tdir),
+        )
+        payload = json.loads((tdir / "checkpoint.json").read_text())
+        del payload["label_level"]
+        (tdir / "no_level.json").write_text(json.dumps(payload))
+        students = {}
+        for name in ("checkpoint.json", "no_level.json"):
+            code, _, err = run(
+                capsys, "train", "-c", str(tiny_config), "--data", str(data_dir),
+                "--role", "student", "--mode", "skd",
+                "--teacher", str(tdir / name), "-o", str(tmp_path / name),
+            )
+            assert code == 0, err
+            students[name] = (tmp_path / name / "checkpoint.json").read_bytes()
+        assert students["no_level.json"] == students["checkpoint.json"]
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_is_an_input_error(self, capsys, tiny_config, data_dir, tmp_path, cell):
@@ -674,6 +729,12 @@ class TestEvaluateCommand:
         result = json.loads(out_json.read_text())
         assert result["label_level"] == "class" and "subclass_confusion" not in result["metrics"]
 
+    @pytest.mark.parametrize("misfit", list(MISFITS))
+    def test_checkpoint_that_does_not_fit_the_data_is_named(self, capsys, tmp_path, misfit):
+        ckpt, data = misfit_checkpoint(tmp_path, misfit)
+        code, _, err = run(capsys, "evaluate", "--checkpoint", str(ckpt), "--data", str(data))
+        assert code == 2 and err.startswith(f"error: {ckpt}: ") and "width" in err, err
+
     def test_truncated_checkpoint_is_an_input_error(self, capsys, tiny_config, data_dir, tmp_path):
         tdir = tmp_path / "teacher"
         run(
@@ -863,18 +924,10 @@ class TestConfigKeys:
         assert expected != base
         assert _experiment_config(_load_ini(ini)[0]) == expected
 
-
-def _documented_ini(where):
-    if where == "README":
-        return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
-    return textwrap.dedent("    [data]" + skdlab.cli.__doc__.split("    [data]", 1)[1])
-
-
-@pytest.mark.parametrize("where", ["cli docstring", "README"])
-def test_documented_defaults_are_the_defaults(tmp_path, where):
-    ini = tmp_path / "documented.ini"
-    ini.write_text(_documented_ini(where))
-    assert _experiment_config(_load_ini(ini)[0]) == ExperimentConfig()
+    def test_readme_ini_block_is_the_defaults(self, tmp_path):
+        ini = tmp_path / "documented.ini"
+        ini.write_text(README.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
+        assert _experiment_config(_load_ini(ini)[0]) == ExperimentConfig()
 
 
 def test_import_does_not_load_the_process_pool():
