@@ -98,7 +98,7 @@ def binary_entropy(x: float) -> float:
     return float(h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """Discrete memoryless channel: rows = true labels, columns = predictions."""
 
@@ -155,7 +155,7 @@ def mutual_information(input_dist, channel: ChannelSpec) -> float:
     r = np.asarray(input_dist, dtype=float)
     if r.shape != (channel.input_size,):
         raise ValueError("input distribution length does not match channel")
-    if np.any(r < -1e-15) or abs(r.sum() - 1.0) > ROW_SUM_TOL:
+    if not (np.all(r >= -1e-15) and abs(r.sum() - 1.0) <= ROW_SUM_TOL):  # NaN fails both
         raise ValueError("input distribution must be a probability vector")
     P = channel.transition
     q = r @ P
@@ -324,18 +324,18 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
     If the full step leaves the simplex, a zero-mass input it would push
     below 0 is dropped from the free set and the step is solved again;
     otherwise the step is cut where the first mass reaches 0, and that input
-    is set to exactly 0, leaving the active set.  Returns None when fewer
-    than two inputs are free, because then no step stays on the simplex,
-    when the free rows are identical, so no direction changes I, and when an
-    output's mass is so small that 1 / q overflows.
+    is set to exactly 0, leaving the active set.  Returns None when the free
+    rows are identical, so no direction changes I, and when an output's mass
+    is so small that 1 / q overflows.  A lone free input is the first case:
+    its system is 0x0, with trace 0.
     """
     free = np.flatnonzero((r > 0) | (D > i_lower))
-    while len(free) > 1:
+    while True:  # each pass that continues drops an input; one left ends at the trace check
         A, g, r_free = P[free], D[free], r[free]
         B = A[:-1] - A[-1]
         H = (B / q) @ B.T
         ridge = 1e-12 * H.trace()
-        if ridge == 0.0:  # identical free rows: no direction changes I
+        if ridge == 0.0:  # identical free rows, or one: no direction changes I
             return None
         H.flat[:: len(H) + 1] += ridge
         head = np.linalg.solve(H, (g[:-1] - g[-1]) * np.log(2.0))
@@ -355,8 +355,6 @@ def _newton_step(P, q, D, r, i_lower) -> np.ndarray | None:
         step = r_free + ratios[j] * d
         step[np.flatnonzero(shrink)[j]] = 0.0
         break
-    else:
-        return None
     r_new = np.zeros(len(r))
     r_new[free] = np.maximum(step, 0.0)
     return r_new / r_new.sum()
@@ -457,7 +455,7 @@ class BitsBreakdown:
     subclass_bits: float
 
     def __post_init__(self):
-        if self.class_bits < 0 or self.subclass_bits < 0:
+        if not (self.class_bits >= 0 and self.subclass_bits >= 0):  # NaN fails both
             raise ValueError("bit counts must be nonnegative")
 
     @property

@@ -41,7 +41,7 @@ TIER_LIFT = 8.0
 def separation(difficulty):
     """Center separation (in cluster sigma units) for a difficulty in [0, 1]."""
     d = np.asarray(difficulty, dtype=float)
-    if np.any(d < 0) or np.any(d > 1):
+    if not np.all((d >= 0) & (d <= 1)):  # NaN fails both
         raise ValueError("difficulty must lie in [0, 1]")
     return SEP_MAX * (1.0 - d) + SEP_MIN * d
 
@@ -79,14 +79,10 @@ class SyntheticSpec:
             diff = (float(diff),) * S
         else:
             diff = tuple(float(x) for x in diff)
-        if len(diff) != S:
-            raise ValueError(f"difficulty has {len(diff)} entries, expected {S}")
-        if any(not 0.0 <= x <= 1.0 for x in diff):
-            raise ValueError("difficulty must lie in [0, 1]")
         object.__setattr__(self, "difficulty", diff)
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
-        # built here, so a layout that cannot be placed fails before any sample is drawn
+        # built here, so a bad layout or difficulty fails before any sample is drawn
         object.__setattr__(
             self, "centers", auto_centers(self.hierarchy, diff, self.feature_dim)
         )
@@ -129,7 +125,7 @@ def auto_centers(hierarchy: LabelHierarchy, difficulty, feature_dim: int) -> np.
     return centers
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature vectors and their subclass labels: Dataset(features, subclass_labels, hierarchy).
 

@@ -181,7 +181,7 @@ class CrossEntropyOnLabels:
         return float(loss), p
 
 
-@dataclass
+@dataclass(eq=False)
 class DistillAgainstTeacher:
     """Mean softened KL against fixed teacher logits."""
 

@@ -28,15 +28,15 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseNetwork:
     """Layer sizes plus parameters; the given arrays are copied into one flat vector."""
 
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    _layout: tuple = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
+    _layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(self.layer_dims)
@@ -63,7 +63,7 @@ class DenseNetwork:
         return self.layer_dims[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientSet:
     """One flat gradient vector laid out like DenseNetwork.params, and its per-layer views."""
 
@@ -171,7 +171,7 @@ def backward(
     return float(loss), out
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """Adaptive-moment optimizer with bias correction and decoupled weight decay.
 
@@ -188,9 +188,7 @@ class OptimizerState:
     step: int = field(default=0, init=False)
     m: Optional[np.ndarray] = field(default=None, init=False)
     v: Optional[np.ndarray] = field(default=None, init=False)
-    _work: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _work: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
 
     def end_epoch(self) -> None:
         self.learning_rate *= self.lr_decay

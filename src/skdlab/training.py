@@ -77,7 +77,7 @@ def student_train_config(**overrides) -> TrainConfig:
     return replace(TrainConfig(hidden_layers=(8,), epochs=30), **overrides)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainResult:
     network: DenseNetwork
     loss_per_epoch: list[float]
@@ -171,7 +171,7 @@ def train_student(
 # Evaluation.
 
 
-@dataclass
+@dataclass(eq=False)
 class Metrics:
     """Class-level evaluation results (plus subclass confusion when available).
 

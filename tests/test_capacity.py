@@ -67,6 +67,10 @@ class TestChannelSpec:
             with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
                 ChannelSpec(np.array([[bad, 1.0], [0.5, 0.5]]))
 
+    def test_rounding_residue_clipped(self):
+        ch = ChannelSpec([[1.0 + 5e-16, -5e-16], [0.3, 0.7]])
+        np.testing.assert_array_equal(ch.transition, [[1.0, 0.0], [0.3, 0.7]])
+
     def test_qsc_rows(self):
         ch = qsc_channel(4, 0.7)
         np.testing.assert_allclose(ch.transition.diagonal(), 0.7)
@@ -82,6 +86,10 @@ class TestMutualInformation:
     def test_identity_channel_uniform_input(self):
         ch = ChannelSpec(np.eye(4))
         assert mutual_information([0.25] * 4, ch) == pytest.approx(2.0, abs=1e-12)
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="must be a probability vector"):
+            mutual_information([float("nan"), float("nan")], bac_channel(0.9, 0.8))
 
     def test_useless_channel(self):
         ch = ChannelSpec(np.array([[0.3, 0.7], [0.3, 0.7]]))
@@ -314,6 +322,15 @@ class TestBlahutArimoto:
         cap, _ = blahut_arimoto(ChannelSpec(P), tol=1e-300, max_iters=3)
         assert cap == 0.0
         assert [step for _, step in calls] == [None]
+
+    def test_one_free_input_gives_no_newton_step(self):
+        # all mass on input 0 of three equal rows, so every D_x is 0 = I(r) and no
+        # zero-mass input is free; the lone free input's system is 0x0, with trace 0
+        P = np.tile([0.2, 0.3, 0.5], (3, 1))
+        r = np.array([1.0, 0.0, 0.0])
+        q = r @ P
+        D = np.sum(P * np.log2(P / q), axis=1)
+        assert capacity._newton_step(P, q, D, r, float(r @ D)) is None
 
     def test_newton_system_that_overflows_gives_no_step(self, monkeypatch):
         # input 1 alone reaches output 0, with P = 3e-5, and Blahut-Arimoto steps
@@ -710,6 +727,11 @@ class TestBitsBreakdown:
         b = BitsBreakdown(0.8793, 0.4226)
         assert b.total_bits == 0.8793 + 0.4226  # bitwise, not approx
         assert f"{b.total_bits:.6f}" == "1.301900"
+
+    def test_nan_rejected(self):
+        for bits in ((float("nan"), 0.0), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="bit counts must be nonnegative"):
+                BitsBreakdown(*bits)
 
 
 class TestHierarchyBound:

@@ -384,7 +384,15 @@ class TestGenerateCommand:
          ("[data]\nseed = -1\n", "[data] seed: seed must be non-negative"),
          ("[data]\nsamples_per_subclass = 1,12,26,26\n",
           "[data] samples_per_subclass: a subclass of 1 sample cannot split"),
-         ("epochs = 4\n", "bad.ini: File contains no section headers")],
+         ("epochs = 4\n", "bad.ini: File contains no section headers"),
+         ("[data]\ndifficulty = 0.2,0.8\n",
+          "error: [data] difficulty: difficulty has 2 entries, expected 4\n"),
+         ("[data]\ndifficulty = 0.2,-0.1,0.2,0.8\n",
+          "error: [data] difficulty: difficulty must lie in [0, 1]\n"),
+         ("[data]\ndifficulty = 0.2,0.8,1.1,0.8\n",
+          "error: [data] difficulty: difficulty must lie in [0, 1]\n"),
+         ("[data]\ndifficulty = 0.2,0.8,0.2,nan\n",
+          "error: [data] difficulty: difficulty must lie in [0, 1]\n")],
     )
     def test_unknown_section_or_key_is_named(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.ini"

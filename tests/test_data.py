@@ -28,6 +28,12 @@ class TestSeparation:
     def test_vectorized(self):
         np.testing.assert_allclose(separation(np.array([0.2, 0.8])), [5.0, 2.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"^difficulty must lie in \[0, 1\]$"):
+            separation(float("nan"))
+        with pytest.raises(ValueError, match=r"^difficulty must lie in \[0, 1\]$"):
+            auto_centers(SL22, (0.2, float("nan"), 0.2, 0.8), 2)
+
 
 class TestAutoCenters:
     def test_sl22_tiered_layout(self):
@@ -83,6 +89,19 @@ class TestSyntheticSpec:
     def test_difficulty_range(self, bad):
         with pytest.raises(ValueError):
             SyntheticSpec(SL22, (4, 4, 4, 4), bad, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((0.2, 0.8), "difficulty has 2 entries, expected 4"),
+         ((0.2, -0.1, 0.2, 0.8), "difficulty must lie in [0, 1]"),
+         ((0.2, 0.8, 1.1, 0.8), "difficulty must lie in [0, 1]"),
+         ((0.2, 0.8, 0.2, float("nan")), "difficulty must lie in [0, 1]")],
+        ids=["length", "below", "above", "nan"],
+    )
+    def test_difficulty_fault_message(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(SL22, (4, 4, 4, 4), bad, 2, seed=0)
+        assert str(info.value) == message
 
     def test_counts_length_checked(self):
         with pytest.raises(ValueError):
@@ -177,6 +196,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 2)), [4], SL22)
 
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [(np.zeros(2), [0, 1], "features must be a 2-D array"),
+         (np.zeros((3, 2)), [0, 1], "label arrays must match the number of samples")],
+        ids=["1-D", "count"],
+    )
+    def test_shapes_checked(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, labels, SL22)
+
 
 class TestRoundTrips:
     def test_hierarchy_json(self, tmp_path):
@@ -198,6 +227,13 @@ class TestRoundTrips:
         p.write_text("f0,f1,subclass,class\n0.0,0.0,0,0\n0.0,oops,1,0\n")
         with pytest.raises(ValueError, match=":3:"):
             load_dataset(p, SL22)
+
+    def test_load_skips_blank_rows(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("f0,f1,subclass,class\n0.5,1.5,0,0\n\n2.5,3.5,3,1\n")
+        ds = load_dataset(p, SL22)
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [2.5, 3.5]])
+        np.testing.assert_array_equal(ds.subclass_labels, [0, 3])
 
     def test_load_rejects_empty(self, tmp_path):
         p = tmp_path / "empty.csv"

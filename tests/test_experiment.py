@@ -61,6 +61,19 @@ class TestDefaults:
         with pytest.raises(ValueError):
             sl22_trend_config(**override)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((0.2, 0.8), "difficulty has 2 entries, expected 4"),
+         ((0.2, -0.1, 0.2, 0.8), "difficulty must lie in [0, 1]"),
+         ((0.2, 0.8, 1.1, 0.8), "difficulty must lie in [0, 1]"),
+         ((0.2, 0.8, 0.2, float("nan")), "difficulty must lie in [0, 1]")],
+        ids=["length", "below", "above", "nan"],
+    )
+    def test_difficulty_fault_message(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            sl22_trend_config(difficulty=bad)
+        assert str(info.value) == message
+
     def test_config_round_trips_through_dict(self):
         d = tiny_config().to_dict()
         assert d["samples_per_subclass"] == [12, 12, 26, 26]

@@ -37,6 +37,11 @@ class TestLabelHierarchy:
         assert h.split_classes is h.split_classes  # built once, not on every access
         assert repr(h) == f"LabelHierarchy(subclasses_per_class={tuple(spc)!r})"
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_class_slice_out_of_range(self, bad):
+        with pytest.raises(IndexError, match=f"class index {bad} out of range"):
+            LabelHierarchy((2, 3, 1)).class_slice(bad)
+
     @pytest.mark.parametrize("bad", [(), (0, 2), (2, -1)])
     def test_invalid_shapes_rejected(self, bad):
         with pytest.raises(ValueError):

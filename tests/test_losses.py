@@ -239,6 +239,12 @@ class TestLossSpecs:
         ) / (6 * tau)
         np.testing.assert_allclose(g, expected, rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize("width", [None, 4])
+    def test_ce_rejects_labels_of_another_batch(self, width):
+        ce = CrossEntropyOnLabels(self.labels[:5], width)
+        with pytest.raises(ValueError, match="labels do not match batch size"):
+            ce.loss_and_logit_grad(self.logits)
+
     def test_distill_loss_matches_skd_loss(self):
         l, _ = DistillAgainstTeacher(self.teacher, 5.0).loss_and_logit_grad(self.logits)
         assert l == pytest.approx(skd_loss(self.teacher, self.logits, 5.0), abs=1e-14)

@@ -5,6 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+from skdlab.capacity import bac_channel
+from skdlab.data import Dataset
+from skdlab.hierarchy import build_task_preset
 from skdlab.losses import (
     CombinedObjective,
     CrossEntropyOnLabels,
@@ -13,6 +16,7 @@ from skdlab.losses import (
 from skdlab.network import (
     CHECKPOINT_FORMAT,
     EPS,
+    GradientSet,
     OptimizerState,
     backward,
     forward,
@@ -23,6 +27,7 @@ from skdlab.network import (
     softmax_and_log_softmax,
     softmax_temperature,
 )
+from skdlab.training import Metrics, TrainResult
 
 
 class TestInitNetwork:
@@ -356,3 +361,26 @@ class TestCheckpoint:
         optimizer_step(c, grads, OptimizerState(learning_rate=0.01))
         assert not np.array_equal(forward(c, X), before)
         np.testing.assert_array_equal(forward(net, X), before)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: init_network([2, 3, 2], 0),
+        lambda: GradientSet(np.zeros(2), (np.zeros((1, 1)),), (np.zeros(1),)),
+        OptimizerState,
+        lambda: Dataset(np.zeros((2, 2)), [0, 3], build_task_preset("SL22")),
+        lambda: TrainResult(init_network([2, 3, 2], 0), [1.0]),
+        lambda: Metrics(np.eye(2, dtype=int), np.ones(2), np.ones(2), np.ones(2), 1.0, 1.0),
+        lambda: DistillAgainstTeacher(np.zeros((1, 2)), 5.0),
+        lambda: bac_channel(0.9, 0.8),
+    ],
+    ids=["DenseNetwork", "GradientSet", "OptimizerState", "Dataset", "TrainResult", "Metrics",
+         "DistillAgainstTeacher", "ChannelSpec"],
+)
+def test_array_holders_compare_by_identity(make):
+    # == on two equal holders compares no arrays, so it neither raises nor
+    # builds an array; each holder is hashable
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
