@@ -137,9 +137,7 @@ def qsc_channel(n: int, p: float) -> ChannelSpec:
 
 def bac_channel(p_h0: float, p_h1: float) -> ChannelSpec:
     """Binary asymmetric channel with per-input accuracies."""
-    for v in (p_h0, p_h1):
-        if not 0.0 < v <= 1.0:
-            raise ValueError("accuracies must lie in (0, 1]")
+    _bac_canonical(p_h0, p_h1)  # checks both accuracies
     return ChannelSpec(np.array([[p_h0, 1.0 - p_h0], [1.0 - p_h1, p_h1]]))
 
 
@@ -435,8 +433,6 @@ def z_channel_capacity(p_flip: float) -> float:
     """Closed-form Z-channel capacity."""
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must lie in [0, 1]")
-    if p_flip == 0.0:
-        return 1.0
     if p_flip == 1.0:
         return 0.0
     p = p_flip
@@ -463,13 +459,27 @@ class BitsBreakdown:
         return self.class_bits + self.subclass_bits
 
 
+def _sample_counts(counts, row_lengths) -> tuple[tuple[int, ...], ...]:
+    """Per-subclass sample counts as ints, by the one rule every label-bit bound uses:
+    one row per class, of the lengths in row_lengths; each count a whole, nonnegative
+    number (NaN and infinities fail); a positive total."""
+    counts = tuple(tuple(row) for row in counts)
+    if tuple(map(len, counts)) != tuple(row_lengths):
+        raise ValueError("counts shape does not match the hierarchy")
+    if not all(n >= 0 and float(n).is_integer() for row in counts for n in row):  # NaN fails both
+        raise ValueError("counts must be whole nonnegative numbers")
+    if sum(map(sum, counts)) == 0:
+        raise ValueError("total sample count is zero")
+    return tuple(tuple(map(int, row)) for row in counts)
+
+
 @dataclass(frozen=True)
 class HierarchyBitsParams:
     """Inputs for the hierarchy-wide bound.
 
     p_c: class-level accuracy; p_ci: per-class subclass accuracy (one entry
     per class; entries for single-subclass classes are ignored); counts:
-    per-subclass training sample counts grouped by class.
+    per-subclass training sample counts by class, valid as _sample_counts says.
     """
 
     hierarchy: LabelHierarchy
@@ -484,15 +494,7 @@ class HierarchyBitsParams:
         p_ci = tuple(float(p) for p in self.p_ci)
         if len(p_ci) != h.num_classes:
             raise ValueError("p_ci needs one entry per class")
-        counts = tuple(tuple(int(n) for n in row) for row in self.counts)
-        if len(counts) != h.num_classes or any(
-            len(row) != h.subclasses_per_class[c] for c, row in enumerate(counts)
-        ):
-            raise ValueError("counts shape does not match the hierarchy")
-        if any(n < 0 for row in counts for n in row):
-            raise ValueError("counts must be nonnegative")
-        if sum(n for row in counts for n in row) == 0:
-            raise ValueError("total sample count is zero")
+        counts = _sample_counts(self.counts, h.subclasses_per_class)
         for c in h.split_classes:
             if not 0.0 < p_ci[c] <= 1.0:
                 raise ValueError(f"subclass accuracy for class {c} must lie in (0, 1]")
@@ -517,8 +519,8 @@ class DetectionParams:
     """Inputs for the binary-detection bound.
 
     The null hypothesis h0 is the unsplit class; the alternative h1 carries
-    n_s subclasses with subclass accuracy p_s.  n_h0/n_h1 are training
-    sample counts per hypothesis.
+    n_s subclasses with subclass accuracy p_s.  n_h0/n_h1, the training sample
+    counts per hypothesis, are valid as _sample_counts says and kept as given.
     """
 
     p_h0: float
@@ -536,10 +538,7 @@ class DetectionParams:
             raise ValueError("n_s must be at least 1")
         if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
             raise ValueError("p_s must lie in (0, 1]")
-        if self.n_h0 < 0 or self.n_h1 < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.n_h0 + self.n_h1 == 0:
-            raise ValueError("total sample count is zero")
+        _sample_counts(((self.n_h0,), (self.n_h1,)), (1, 1))
 
 
 def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:
@@ -646,19 +645,14 @@ def label_bits_report(
     sub_confs = list(per_class_subclass_confusions)
     if len(sub_confs) != hierarchy.num_classes:
         raise ValueError("need one subclass confusion (or None) per class")
-    counts = tuple(tuple(int(n) for n in row) for row in counts)
-    if len(counts) != hierarchy.num_classes:
-        raise ValueError("counts shape does not match the hierarchy")
-    for c in range(hierarchy.num_classes):
-        n_c = hierarchy.subclasses_per_class[c]
-        if n_c > 1:
-            sub_confs[c] = np.asarray(sub_confs[c], dtype=float)
-            if sub_confs[c].shape != (n_c, n_c):
-                raise ValueError(f"class {c} subclass confusion must be {n_c}x{n_c}")
-        if len(counts[c]) != n_c:
-            raise ValueError("counts shape does not match the hierarchy")
-
+    counts = _sample_counts(counts, hierarchy.subclasses_per_class)
     split = hierarchy.split_classes
+    for c in split:
+        n_c = hierarchy.subclasses_per_class[c]
+        sub_confs[c] = np.asarray(sub_confs[c], dtype=float)
+        if sub_confs[c].shape != (n_c, n_c):
+            raise ValueError(f"class {c} subclass confusion must be {n_c}x{n_c}")
+
     detection = hierarchy.num_classes == 2 and len(split) <= 1
     class_channel = confusion_to_channel(class_conf)
     empirical = {"class_capacity": blahut_arimoto(class_channel)[0]}

@@ -143,6 +143,8 @@ class Dataset:
         n = len(self.features)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if len(self.subclass_labels) != n:
             raise ValueError("label arrays must match the number of samples")
         S = self.hierarchy.total_subclasses

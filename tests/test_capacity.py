@@ -81,6 +81,27 @@ class TestChannelSpec:
             z_channel(0.5).transition, [[1.0, 0.0], [0.5, 0.5]]
         )
 
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], [[[1.0]]], np.zeros((0, 2)), np.zeros((2, 0))],
+                             ids=["1-D", "3-D", "no rows", "no columns"])
+    def test_transition_must_be_2d(self, bad):
+        with pytest.raises(ValueError, match="transition must be a 2-D matrix"):
+            ChannelSpec(bad)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: qsc_channel(1, 0.5), "alphabet size must be at least 2"),
+         (lambda: qsc_channel(3, 1.1), r"p must lie in \[0, 1\]"),
+         (lambda: qsc_channel(3, float("nan")), r"p must lie in \[0, 1\]"),
+         (lambda: bac_channel(0.0, 0.8), r"accuracies must lie in \(0, 1\]"),
+         (lambda: bac_channel(0.9, 1.2), r"accuracies must lie in \(0, 1\]"),
+         (lambda: z_channel(-0.1), r"p_flip must lie in \[0, 1\]"),
+         (lambda: z_channel(1.5), r"p_flip must lie in \[0, 1\]")],
+        ids=["qsc n", "qsc p", "qsc nan", "bac p_h0", "bac p_h1", "z below", "z above"],
+    )
+    def test_builders_check_their_parameters(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestMutualInformation:
     def test_identity_channel_uniform_input(self):
@@ -90,6 +111,11 @@ class TestMutualInformation:
     def test_nan_input_rejected(self):
         with pytest.raises(ValueError, match="must be a probability vector"):
             mutual_information([float("nan"), float("nan")], bac_channel(0.9, 0.8))
+
+    @pytest.mark.parametrize("dist", [[1.0], [0.25] * 3, [[0.5, 0.5]]], ids=["short", "long", "2-D"])
+    def test_input_length_checked(self, dist):
+        with pytest.raises(ValueError, match="input distribution length does not match channel"):
+            mutual_information(dist, bac_channel(0.9, 0.8))
 
     def test_useless_channel(self):
         ch = ChannelSpec(np.array([[0.3, 0.7], [0.3, 0.7]]))
@@ -709,6 +735,11 @@ class TestZChannelCapacity:
         assert z_channel_capacity(0.0) == 1.0
         assert z_channel_capacity(1.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, float("nan")])
+    def test_p_flip_range_checked(self, bad):
+        with pytest.raises(ValueError, match=r"p_flip must lie in \[0, 1\]"):
+            z_channel_capacity(bad)
+
     def test_half_flip(self):
         got = z_channel_capacity(0.5)
         assert got == pytest.approx(math.log2(1.25), abs=1e-15)
@@ -775,6 +806,11 @@ class TestHierarchyBound:
         with pytest.raises(ValueError):
             HierarchyBitsParams(h, 0.9, (0.85, 1.0), ((0, 0), (0,)))
 
+    @pytest.mark.parametrize("p_ci", [(0.85,), (0.85, 1.0, 1.0)], ids=["short", "long"])
+    def test_p_ci_length_checked(self, p_ci):
+        with pytest.raises(ValueError, match="p_ci needs one entry per class"):
+            HierarchyBitsParams(LabelHierarchy((2, 1)), 0.9, p_ci, ((300, 300), (400,)))
+
 
 class TestDetectionBound:
     def test_worked_example(self):
@@ -799,6 +835,51 @@ class TestDetectionBound:
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             DetectionParams(0.9, 0.9, 2, 0.85, 0, 0)
+
+    @pytest.mark.parametrize("n_s", [0, -2])
+    def test_n_s_checked(self, n_s):
+        with pytest.raises(ValueError, match="n_s must be at least 1"):
+            DetectionParams(0.9, 0.9, n_s, 0.85, 2162, 990)
+
+
+class TestSampleCounts:
+    """The one count rule the two bounds and label_bits_report share: whole,
+    nonnegative counts with a positive total; NaN, infinities and fractions fail."""
+
+    BAD = [float("nan"), float("inf"), -float("inf"), 300.9, -1]
+    IDS = ["nan", "inf", "-inf", "fraction", "negative"]
+    MESSAGE = "counts must be whole nonnegative numbers"
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_hierarchy_params(self, bad):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            HierarchyBitsParams(LabelHierarchy((2, 1)), 0.9, (0.85, 1.0), ((300, bad), (400,)))
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    @pytest.mark.parametrize("which", ["n_h0", "n_h1"])
+    def test_detection_params(self, which, bad):
+        counts = {"n_h0": 2162, "n_h1": 990, which: bad}
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            DetectionParams(0.9, 0.9, 2, 0.85, **counts)
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    @pytest.mark.parametrize("task", ["SL22", "SL21"], ids=["hierarchy", "detection"])
+    def test_label_bits_report(self, task, bad):
+        h = build_task_preset(task)  # class 0 is split on both routes
+        subs = [[[40, 10], [10, 40]] if n > 1 else None for n in h.subclasses_per_class]
+        counts = ((50, bad),) + tuple((50,) * n for n in h.subclasses_per_class[1:])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            label_bits_report([[90, 10], [20, 80]], subs, h, counts)
+
+    def test_whole_floats_accepted(self):
+        params = DetectionParams(0.9, 0.9, 2, 0.85, 2162.0, np.int64(990))
+        assert params.n_h0 == 2162.0 and type(params.n_h0) is float  # kept as given
+        ints = DetectionParams(0.9, 0.9, 2, 0.85, 2162, 990)
+        assert detection_bits_bound(params) == detection_bits_bound(ints)
+        h = LabelHierarchy((2, 1))
+        counts = HierarchyBitsParams(h, 0.9, (0.85, 1.0), ((300.0, np.float64(300)), (400,))).counts
+        assert counts == ((300, 300), (400,))
+        assert all(type(n) is int for row in counts for n in row)
 
 
 class TestEstimateAccuracy:
@@ -1019,6 +1100,14 @@ class TestLabelBitsReport:
             for bad in (counts + ((7, 7),), counts[:-1]):
                 with pytest.raises(ValueError, match="counts shape does not match the hierarchy"):
                     label_bits_report([[90, 10], [20, 80]], subs, h, bad)
+
+    @pytest.mark.parametrize("task", ["SL22", "SL21"], ids=["hierarchy", "detection"])
+    def test_one_subclass_confusion_per_class(self, task):
+        h = build_task_preset(task)
+        counts = tuple((50,) * n for n in h.subclasses_per_class)
+        for subs in ([[[40, 10], [10, 40]]], [[[40, 10], [10, 40]], None, None]):
+            with pytest.raises(ValueError, match=r"need one subclass confusion \(or None\) per class"):
+                label_bits_report([[90, 10], [20, 80]], subs, h, counts)
 
     EDGE_CONFUSIONS = {
         "perfect": [[60, 0], [0, 60]],

@@ -79,6 +79,10 @@ class TestAutoCenters:
         with pytest.raises(ValueError, match="difficulty has 2 entries, expected 4"):
             auto_centers(SL22, (0.2, 0.8), 2)
 
+    def test_two_classes_only(self):
+        with pytest.raises(ValueError, match="auto centers support exactly two classes"):
+            auto_centers(LabelHierarchy((1, 1, 1)), (0.2, 0.2, 0.2), 2)
+
 
 class TestSyntheticSpec:
     def test_difficulty_broadcast(self):
@@ -106,6 +110,18 @@ class TestSyntheticSpec:
     def test_counts_length_checked(self):
         with pytest.raises(ValueError):
             SyntheticSpec(SL22, (4, 4), 0.3, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "counts, feature_dim, message",
+        [((4, -1, 4, 4), 2, "sample counts must be nonnegative"),
+         ((0, 0, 0, 0), 2, "at least one sample is required"),
+         ((4, 4, 4, 4), 0, "feature_dim must be positive")],
+        ids=["negative", "none", "feature_dim"],
+    )
+    def test_count_and_dim_faults(self, counts, feature_dim, message):
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(SL22, counts, 0.3, feature_dim, seed=0)
+        assert str(info.value) == message
 
 
 class TestGenerateSynthetic:
@@ -199,8 +215,11 @@ class TestDatasetValidation:
     @pytest.mark.parametrize(
         "features, labels, message",
         [(np.zeros(2), [0, 1], "features must be a 2-D array"),
-         (np.zeros((3, 2)), [0, 1], "label arrays must match the number of samples")],
-        ids=["1-D", "count"],
+         (np.zeros((3, 2)), [0, 1], "label arrays must match the number of samples"),
+         (np.full((1, 2), np.nan), [0], "features must be finite"),
+         (np.array([[0.0, np.inf]]), [0], "features must be finite"),
+         (np.array([[-np.inf, 0.0]]), [0], "features must be finite")],
+        ids=["1-D", "count", "nan", "inf", "-inf"],
     )
     def test_shapes_checked(self, features, labels, message):
         with pytest.raises(ValueError, match=message):

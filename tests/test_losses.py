@@ -51,6 +51,13 @@ class TestCrossEntropy:
     def test_floor_keeps_loss_finite(self):
         assert math.isfinite(cross_entropy([0.0, 1.0], [1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "p, t", [([0.5, 0.5], [1.0, 0.0, 0.0]), ([[0.5, 0.5]], [[1.0, 0.0]])], ids=["length", "2-D"]
+    )
+    def test_shapes_checked(self, p, t):
+        with pytest.raises(ValueError, match="probabilities and target must be 1-D and the same length"):
+            cross_entropy(p, t)
+
 
 class TestKlDivergence:
     def test_known_value(self):
@@ -73,6 +80,11 @@ class TestKlDivergence:
         for _ in range(50):
             p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
             assert kl_divergence(p, q) >= -1e-12
+
+    @pytest.mark.parametrize("q", [[0.5, 0.5, 0.0], [[0.3, 0.7]]], ids=["length", "2-D"])
+    def test_shapes_checked(self, q):
+        with pytest.raises(ValueError, match="distributions must have the same shape"):
+            kl_divergence([0.3, 0.7], q)
 
 
 class TestSkdLoss:
@@ -244,6 +256,25 @@ class TestLossSpecs:
         ce = CrossEntropyOnLabels(self.labels[:5], width)
         with pytest.raises(ValueError, match="labels do not match batch size"):
             ce.loss_and_logit_grad(self.logits)
+
+    def test_empty_label_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty label batch"):
+            CrossEntropyOnLabels([], 4)
+
+    def test_distill_rejects_logits_of_another_shape(self):
+        kd = DistillAgainstTeacher(self.teacher, tau=5.0)
+        with pytest.raises(ValueError, match=r"teacher logits \(6, 4\) do not match student \(6, 3\)"):
+            kd.loss_and_logit_grad(self.logits[:, :3])
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
+    def test_combined_lambda_range(self, lam):
+        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+            CombinedObjective(self.labels, self.teacher, tau=5.0, lam=lam)
+
+    def test_combined_rejects_logits_of_another_shape(self):
+        combo = CombinedObjective(self.labels, self.teacher, tau=5.0, lam=0.5)
+        with pytest.raises(ValueError, match=r"teacher logits \(6, 4\) do not match student \(5, 4\)"):
+            combo.loss_and_logit_grad(self.logits[:5])
 
     def test_distill_loss_matches_skd_loss(self):
         l, _ = DistillAgainstTeacher(self.teacher, 5.0).loss_and_logit_grad(self.logits)
