@@ -459,27 +459,13 @@ class BitsBreakdown:
         return self.class_bits + self.subclass_bits
 
 
-def _sample_counts(counts, row_lengths) -> tuple[tuple[int, ...], ...]:
-    """Per-subclass sample counts as ints, by the one rule every label-bit bound uses:
-    one row per class, of the lengths in row_lengths; each count a whole, nonnegative
-    number (NaN and infinities fail); a positive total."""
-    counts = tuple(tuple(row) for row in counts)
-    if tuple(map(len, counts)) != tuple(row_lengths):
-        raise ValueError("counts shape does not match the hierarchy")
-    if not all(n >= 0 and float(n).is_integer() for row in counts for n in row):  # NaN fails both
-        raise ValueError("counts must be whole nonnegative numbers")
-    if sum(map(sum, counts)) == 0:
-        raise ValueError("total sample count is zero")
-    return tuple(tuple(map(int, row)) for row in counts)
-
-
 @dataclass(frozen=True)
 class HierarchyBitsParams:
     """Inputs for the hierarchy-wide bound.
 
     p_c: class-level accuracy; p_ci: per-class subclass accuracy (one entry
     per class; entries for single-subclass classes are ignored); counts:
-    per-subclass training sample counts by class, valid as _sample_counts says.
+    per-subclass training sample counts by class, valid as LabelHierarchy.sample_counts says.
     """
 
     hierarchy: LabelHierarchy
@@ -494,7 +480,7 @@ class HierarchyBitsParams:
         p_ci = tuple(float(p) for p in self.p_ci)
         if len(p_ci) != h.num_classes:
             raise ValueError("p_ci needs one entry per class")
-        counts = _sample_counts(self.counts, h.subclasses_per_class)
+        counts = h.sample_counts(self.counts)
         for c in h.split_classes:
             if not 0.0 < p_ci[c] <= 1.0:
                 raise ValueError(f"subclass accuracy for class {c} must lie in (0, 1]")
@@ -519,8 +505,8 @@ class DetectionParams:
     """Inputs for the binary-detection bound.
 
     The null hypothesis h0 is the unsplit class; the alternative h1 carries
-    n_s subclasses with subclass accuracy p_s.  n_h0/n_h1, the training sample
-    counts per hypothesis, are valid as _sample_counts says and kept as given.
+    n_s subclasses with subclass accuracy p_s.  The per-hypothesis training sample
+    counts n_h0/n_h1 are kept as given, valid as LabelHierarchy.sample_counts says.
     """
 
     p_h0: float
@@ -538,7 +524,7 @@ class DetectionParams:
             raise ValueError("n_s must be at least 1")
         if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
             raise ValueError("p_s must lie in (0, 1]")
-        _sample_counts(((self.n_h0,), (self.n_h1,)), (1, 1))
+        LabelHierarchy((1, 1)).sample_counts(((self.n_h0,), (self.n_h1,)))
 
 
 def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:
@@ -645,7 +631,7 @@ def label_bits_report(
     sub_confs = list(per_class_subclass_confusions)
     if len(sub_confs) != hierarchy.num_classes:
         raise ValueError("need one subclass confusion (or None) per class")
-    counts = _sample_counts(counts, hierarchy.subclasses_per_class)
+    counts = hierarchy.sample_counts(counts)
     split = hierarchy.split_classes
     for c in split:
         n_c = hierarchy.subclasses_per_class[c]

@@ -63,17 +63,15 @@ class SyntheticSpec:
     centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        S = self.hierarchy.total_subclasses
-        counts = tuple(int(n) for n in self.samples_per_subclass)
+        h = self.hierarchy
+        S = h.total_subclasses
+        counts = tuple(self.samples_per_subclass)
         if len(counts) != S:
             raise ValueError(
                 f"samples_per_subclass has {len(counts)} entries, the hierarchy needs {S}"
             )
-        if any(n < 0 for n in counts):
-            raise ValueError("sample counts must be nonnegative")
-        if sum(counts) == 0:
-            raise ValueError("at least one sample is required")
-        object.__setattr__(self, "samples_per_subclass", counts)
+        rows = h.sample_counts(counts[h.class_slice(c)] for c in range(h.num_classes))
+        object.__setattr__(self, "samples_per_subclass", sum(rows, ()))
         diff = self.difficulty
         if np.ndim(diff) == 0:
             diff = (float(diff),) * S
@@ -169,8 +167,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     feats, subs = [], []
     for j, n in enumerate(spec.samples_per_subclass):
-        if n == 0:
-            continue
         rng = np.random.default_rng([spec.seed, j])
         feats.append(rng.standard_normal((n, spec.feature_dim)) + spec.centers[j])
         subs.append(np.full(n, j, dtype=int))

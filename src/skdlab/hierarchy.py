@@ -66,6 +66,19 @@ class LabelHierarchy:
             raise IndexError(f"class index {class_index} out of range")
         return slice(self.offsets[class_index], self.offsets[class_index + 1])
 
+    def sample_counts(self, counts) -> tuple[tuple[int, ...], ...]:
+        """Per-subclass sample counts as ints, by the one rule the data and every label-bit
+        bound use: one row per class, as long as its subclass count; each count a whole,
+        nonnegative number (NaN and infinities fail); a positive total."""
+        counts = tuple(tuple(row) for row in counts)
+        if tuple(map(len, counts)) != self.subclasses_per_class:
+            raise ValueError("counts shape does not match the hierarchy")
+        if not all(n >= 0 and float(n).is_integer() for r in counts for n in r):  # NaN fails both
+            raise ValueError("counts must be whole nonnegative numbers")
+        if sum(map(sum, counts)) == 0:
+            raise ValueError("total sample count is zero")
+        return tuple(tuple(map(int, row)) for row in counts)
+
 
 # Task presets.  Two classes throughout; class 0 plays the minority
 # (positive/lesion) role and class 1 the majority role.  The name encodes

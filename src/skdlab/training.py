@@ -152,18 +152,19 @@ def train_student(
     if not distill.uses_teacher:
         if teacher is not None:
             raise ValueError(f"mode {distill.mode!r} takes no teacher")
-        return _run_training(train_set.features, CrossEntropyOnLabels(labels, width), width, cfg)
-    if teacher is None:
-        raise ValueError(f"mode {distill.mode!r} requires a teacher")
-    if teacher.num_outputs != width:
-        raise ValueError(
-            f"teacher level mismatch: mode {distill.mode!r} needs a {distill.level}-level "
-            f"teacher with {width} outputs, got {teacher.num_outputs}"
+        spec = CrossEntropyOnLabels(labels, width)
+    else:
+        if teacher is None:
+            raise ValueError(f"mode {distill.mode!r} requires a teacher")
+        if teacher.num_outputs != width:
+            raise ValueError(
+                f"teacher level mismatch: mode {distill.mode!r} needs a {distill.level}-level "
+                f"teacher with {width} outputs, got {teacher.num_outputs}"
+            )
+        # teacher is frozen: its logits and softened targets are computed once, up front
+        spec = CombinedObjective(
+            labels, forward(teacher, train_set.features), distill.tau, distill.lam
         )
-    # teacher is frozen: its logits and softened targets are computed once, up front
-    spec = CombinedObjective(
-        labels, forward(teacher, train_set.features), distill.tau, distill.lam
-    )
     return _run_training(train_set.features, spec, width, cfg)
 
 

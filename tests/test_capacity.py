@@ -882,7 +882,7 @@ class TestSampleCounts:
         assert all(type(n) is int for row in counts for n in row)
 
 
-class TestEstimateAccuracy:
+class TestFittedAccuracy:
     """The accuracies label_bits_report fits from confusion counts: trace / total."""
 
     def test_hand_value(self):

@@ -113,15 +113,23 @@ class TestSyntheticSpec:
 
     @pytest.mark.parametrize(
         "counts, feature_dim, message",
-        [((4, -1, 4, 4), 2, "sample counts must be nonnegative"),
-         ((0, 0, 0, 0), 2, "at least one sample is required"),
-         ((4, 4, 4, 4), 0, "feature_dim must be positive")],
-        ids=["negative", "none", "feature_dim"],
+        [((4, -1, 4, 4), 2, "counts must be whole nonnegative numbers"),
+         ((0, 0, 0, 0), 2, "total sample count is zero"),
+         ((4, 4, 4, 4), 0, "feature_dim must be positive"),
+         ((4.9, 4, 4, 4), 2, "counts must be whole nonnegative numbers"),
+         ((4, 4, float("nan"), 4), 2, "counts must be whole nonnegative numbers"),
+         ((4, 4, 4, float("inf")), 2, "counts must be whole nonnegative numbers")],
+        ids=["negative", "none", "feature_dim", "fractional", "nan", "inf"],
     )
     def test_count_and_dim_faults(self, counts, feature_dim, message):
         with pytest.raises(ValueError) as info:
             SyntheticSpec(SL22, counts, 0.3, feature_dim, seed=0)
         assert str(info.value) == message
+
+    def test_whole_float_counts_stored_as_ints(self):
+        spec = SyntheticSpec(SL22, (4.0, 4, 4, 4), 0.3, 2, seed=0)
+        assert spec.samples_per_subclass == (4, 4, 4, 4)
+        assert all(type(n) is int for n in spec.samples_per_subclass)
 
 
 class TestGenerateSynthetic:

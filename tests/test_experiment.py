@@ -55,6 +55,8 @@ class TestDefaults:
             {"tau_kd": 0.0},
             {"tau_kd": float("inf")},
             {"samples_per_subclass": (1, 12, 26, 26)},
+            {"samples_per_subclass": (248.5, 248, 540, 540)},
+            {"samples_per_subclass": (248, 248, 540, float("inf"))},
         ],
     )
     def test_bad_values_rejected_at_construction(self, override):
