@@ -71,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import LabelHierarchy
+from .hierarchy import LabelHierarchy, whole_number
 
 ROW_SUM_TOL = 1e-9
 LN2 = log(2.0)
@@ -125,6 +125,7 @@ class ChannelSpec:
 
 def qsc_channel(n: int, p: float) -> ChannelSpec:
     """Q-ary symmetric channel matrix."""
+    n = whole_number(n, "alphabet size")
     if n < 2:
         raise ValueError("alphabet size must be at least 2")
     if not 0.0 <= p <= 1.0:
@@ -365,6 +366,7 @@ def qsc_capacity(n: int, p: float) -> float:
     uniform input but no longer the channel capacity; such calls are
     evaluated with a warning.
     """
+    n = whole_number(n, "alphabet size")
     if n < 2:
         raise ValueError("alphabet size must be at least 2")
     if not 0.0 <= p <= 1.0:
@@ -504,9 +506,9 @@ def hierarchy_bits_bound(params: HierarchyBitsParams) -> BitsBreakdown:
 class DetectionParams:
     """Inputs for the binary-detection bound.
 
-    The null hypothesis h0 is the unsplit class; the alternative h1 carries
-    n_s subclasses with subclass accuracy p_s.  The per-hypothesis training sample
-    counts n_h0/n_h1 are kept as given, valid as LabelHierarchy.sample_counts says.
+    The null hypothesis h0 is the unsplit class; the alternative h1 carries n_s
+    subclasses (stored as an int: see whole_number) with subclass accuracy p_s.  The
+    sample counts n_h0/n_h1 are kept as given, valid as LabelHierarchy.sample_counts says.
     """
 
     p_h0: float
@@ -520,6 +522,7 @@ class DetectionParams:
         for v in (self.p_h0, self.p_h1):
             if not 0.0 < v <= 1.0:
                 raise ValueError("hypothesis accuracies must lie in (0, 1]")
+        object.__setattr__(self, "n_s", whole_number(self.n_s, "n_s"))
         if self.n_s < 1:
             raise ValueError("n_s must be at least 1")
         if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
@@ -601,10 +604,9 @@ def counts_from_confusions(class_confusion, per_class_subclass_confusions) -> tu
     """Per-subclass sample counts by class: the row sums of each class's subclass
     confusion, or of its class-confusion row if it has none (a lone subclass)."""
     class_conf = np.asarray(class_confusion)
-    return tuple(
-        tuple(int(n) for n in np.sum(class_conf[[c]] if conf is None else conf, axis=1))
-        for c, conf in enumerate(per_class_subclass_confusions)
-    )
+    sums = (np.sum(class_conf[[c]] if conf is None else conf, axis=1)
+            for c, conf in enumerate(per_class_subclass_confusions))
+    return tuple(tuple(whole_number(n, "confusion row sum") for n in row) for row in sums)
 
 
 def label_bits_report(

@@ -41,6 +41,7 @@ from .capacity import (
 )
 from .data import generate_synthetic, load_dataset, load_hierarchy, save_dataset, save_hierarchy, split_dataset
 from .experiment import ExperimentConfig, config_fields, run_experiment, write_experiment_report
+from .hierarchy import whole_number
 from .losses import STUDENT_MODES
 from .network import load_checkpoint, save_checkpoint
 from .training import evaluate, train_student, train_teacher
@@ -161,8 +162,11 @@ def _read_matrix(path, counts: bool = False) -> np.ndarray:
                 raise ValueError(f"{p}:{lineno}: negative cell")
             if not any(values):
                 raise ValueError(f"{p}:{lineno}: all-zero row")
-            if counts and not all(v.is_integer() for v in values):
-                raise ValueError(f"{p}:{lineno}: confusion counts must be whole numbers")
+            try:
+                for v in values if counts else ():
+                    whole_number(v, "confusion count")
+            except ValueError as exc:
+                raise ValueError(f"{p}:{lineno}: confusion counts must be whole numbers") from exc
             rows.append(values)
     if not rows:
         raise ValueError(f"{p}: no rows")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import LabelHierarchy
+from .hierarchy import LabelHierarchy, whole_number
 
 SEP_MAX = 6.0
 SEP_MIN = 1.0
@@ -73,11 +73,9 @@ class SyntheticSpec:
         rows = h.sample_counts(counts[h.class_slice(c)] for c in range(h.num_classes))
         object.__setattr__(self, "samples_per_subclass", sum(rows, ()))
         diff = self.difficulty
-        if np.ndim(diff) == 0:
-            diff = (float(diff),) * S
-        else:
-            diff = tuple(float(x) for x in diff)
+        diff = (float(diff),) * S if np.ndim(diff) == 0 else tuple(float(x) for x in diff)
         object.__setattr__(self, "difficulty", diff)
+        object.__setattr__(self, "feature_dim", whole_number(self.feature_dim, "feature_dim"))
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
         # built here, so a bad layout or difficulty fails before any sample is drawn

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
-from .hierarchy import build_task_preset
+from .hierarchy import build_task_preset, whole_number
 from .losses import STUDENT_MODES, DistillConfig
 from .training import (
     Metrics,
@@ -50,6 +50,9 @@ def config_fields(cfg) -> list:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings as plain values: the data settings as its SyntheticSpec
+    holds them (int counts, one float difficulty per subclass), the rest as ints or floats."""
+
     task: str = "SL22"
     samples_per_subclass: tuple[int, ...] = (248, 248, 540, 540)
     difficulty: tuple[float, ...] = (0.2, 0.8, 0.2, 0.8)
@@ -65,18 +68,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # reject a bad task, count, difficulty, feature_dim, split, seed, seed count, tau or lam
-        # before any seed trains
-        self.data_spec(self.base_seed)
+        # before any seed trains, and keep the data settings as every seed's spec holds them
+        spec = self.data_spec(self.base_seed)
+        for name in ("samples_per_subclass", "difficulty", "feature_dim"):
+            object.__setattr__(self, name, getattr(spec, name))
         if 1 in self.samples_per_subclass:
             raise ValueError("a subclass of 1 sample cannot split into train and test")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        object.__setattr__(self, "base_seed", whole_number(self.base_seed, "seed"))
         if self.base_seed < 0:
             raise ValueError("seed must be non-negative")
+        object.__setattr__(self, "n_seeds", whole_number(self.n_seeds, "n_seeds"))
         if self.n_seeds < 2:
             raise ValueError("n_seeds must be at least 2")
         for mode in STUDENT_MODES:
             self.distill_config(mode)
+        for name in ("train_fraction", "tau_skd", "tau_kd", "lam"):  # numbers: a str failed above
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def data_spec(self, seed: int) -> SyntheticSpec:
         return SyntheticSpec(

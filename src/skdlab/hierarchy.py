@@ -7,7 +7,16 @@ aggregation a contiguous-range sum.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+
+def whole_number(value, what: str) -> int:
+    """value as an int if it is a whole number: the one rule for every count, size and width.
+    3, 3.0 and np.int64(3) give 3; 2.5, NaN, infinities and any str raise ValueError."""
+    if isinstance(value, str) or not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -17,9 +26,9 @@ class LabelHierarchy:
     Parameters
     ----------
     subclasses_per_class : tuple of int
-        Number of subclasses under each class, in class order.  Every
-        class must have at least one subclass; a class with exactly one
-        subclass is simply the class itself.
+        Number of subclasses under each class, in class order, stored as ints
+        (whole numbers only: see whole_number).  Every class must have at least
+        one subclass; a class with exactly one subclass is the class itself.
 
     Attributes
     ----------
@@ -39,16 +48,13 @@ class LabelHierarchy:
     split_classes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spc = tuple(int(n) for n in self.subclasses_per_class)
+        spc = tuple(whole_number(n, "subclass count") for n in self.subclasses_per_class)
         if not spc:
             raise ValueError("hierarchy needs at least one class")
         if any(n < 1 for n in spc):
             raise ValueError("every class needs at least one subclass")
         object.__setattr__(self, "subclasses_per_class", spc)
-        offsets = [0]
-        for n in spc:
-            offsets.append(offsets[-1] + n)
-        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "offsets", (0, *itertools.accumulate(spc)))
         object.__setattr__(self, "class_of", tuple(c for c, n in enumerate(spc) for _ in range(n)))
         object.__setattr__(self, "split_classes", tuple(c for c, n in enumerate(spc) if n > 1))
 
@@ -68,16 +74,20 @@ class LabelHierarchy:
 
     def sample_counts(self, counts) -> tuple[tuple[int, ...], ...]:
         """Per-subclass sample counts as ints, by the one rule the data and every label-bit
-        bound use: one row per class, as long as its subclass count; each count a whole,
-        nonnegative number (NaN and infinities fail); a positive total."""
+        bound use: one row per class, as long as its subclass count; each count a whole
+        number (by whole_number, so NaN and infinities fail) and nonnegative; a positive total."""
         counts = tuple(tuple(row) for row in counts)
         if tuple(map(len, counts)) != self.subclasses_per_class:
             raise ValueError("counts shape does not match the hierarchy")
-        if not all(n >= 0 and float(n).is_integer() for r in counts for n in r):  # NaN fails both
+        try:
+            counts = tuple(tuple(whole_number(n, "count") for n in row) for row in counts)
+        except ValueError as exc:
+            raise ValueError("counts must be whole nonnegative numbers") from exc
+        if any(n < 0 for row in counts for n in row):
             raise ValueError("counts must be whole nonnegative numbers")
         if sum(map(sum, counts)) == 0:
             raise ValueError("total sample count is zero")
-        return tuple(tuple(map(int, row)) for row in counts)
+        return counts
 
 
 # Task presets.  Two classes throughout; class 0 plays the minority

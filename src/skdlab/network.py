@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .hierarchy import whole_number
+
 CHECKPOINT_FORMAT = "skdlab-net-v1"
 
 BETA1 = 0.9
@@ -77,7 +79,7 @@ def init_network(layer_dims, seed) -> DenseNetwork:
 
     seed may be an int or a sequence of ints (a stream key).
     """
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(whole_number(d, "layer dimension") for d in layer_dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dimensions")
     if any(d < 1 for d in dims):

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
+from .hierarchy import whole_number
 from .losses import (
     CombinedObjective,
     CrossEntropyOnLabels,
@@ -40,8 +41,9 @@ from .network import (
 class TrainConfig:
     """One network's training settings.
 
-    The defaults train the desk-scale 64-32 teacher (student_train_config
-    gives the 8-unit student) with OptimizerState's optimizer defaults.
+    The defaults train the desk-scale 64-32 teacher (student_train_config gives the
+    8-unit student) with OptimizerState's optimizer defaults.  Widths, epochs and
+    batch_size are stored as ints (see whole_number), the optimizer settings as floats.
     """
 
     hidden_layers: tuple[int, ...] = (64, 32)
@@ -54,11 +56,12 @@ class TrainConfig:
     distill: DistillConfig = DistillConfig()
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        widths = tuple(whole_number(h, "hidden_layers width") for h in self.hidden_layers)
+        object.__setattr__(self, "hidden_layers", widths)
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers widths must be at least 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -67,6 +70,8 @@ class TrainConfig:
             raise ValueError("lr_decay must be finite and positive")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and non-negative")
+        for name in ("learning_rate", "weight_decay", "lr_decay"):  # numbers: a str failed above
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def teacher_train_config(**overrides) -> TrainConfig:

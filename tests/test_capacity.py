@@ -95,8 +95,11 @@ class TestChannelSpec:
          (lambda: bac_channel(0.0, 0.8), r"accuracies must lie in \(0, 1\]"),
          (lambda: bac_channel(0.9, 1.2), r"accuracies must lie in \(0, 1\]"),
          (lambda: z_channel(-0.1), r"p_flip must lie in \[0, 1\]"),
-         (lambda: z_channel(1.5), r"p_flip must lie in \[0, 1\]")],
-        ids=["qsc n", "qsc p", "qsc nan", "bac p_h0", "bac p_h1", "z below", "z above"],
+         (lambda: z_channel(1.5), r"p_flip must lie in \[0, 1\]"),
+         (lambda: qsc_channel(2.5, 0.7), "alphabet size must be a whole number"),
+         (lambda: qsc_channel(float("nan"), 0.7), "alphabet size must be a whole number")],
+        ids=["qsc n", "qsc p", "qsc nan", "bac p_h0", "bac p_h1", "z below", "z above",
+             "qsc fractional n", "qsc nan n"],
     )
     def test_builders_check_their_parameters(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -841,6 +844,13 @@ class TestDetectionBound:
         with pytest.raises(ValueError, match="n_s must be at least 1"):
             DetectionParams(0.9, 0.9, n_s, 0.85, 2162, 990)
 
+    @pytest.mark.parametrize("n_s", [2.0, np.int64(2)], ids=["float", "int64"])
+    def test_whole_n_s_stored_as_int(self, n_s):
+        params = DetectionParams(0.9, 0.9, n_s, 0.85, 2162, 990)
+        assert params.n_s == 2 and type(params.n_s) is int
+        ints = DetectionParams(0.9, 0.9, 2, 0.85, 2162, 990)
+        assert detection_bits_bound(params) == detection_bits_bound(ints)
+
 
 class TestSampleCounts:
     """The one count rule the two bounds and label_bits_report share: whole,
@@ -962,6 +972,13 @@ class TestLabelBitsReport:
         counts = counts_from_confusions(class_conf, [None, sub_conf])
         assert counts == ((100,), (50, 50))
         assert all(type(n) is int for row in counts for n in row)
+
+    def test_counts_from_rate_confusions_rejected(self):
+        # rates, not counts: every row sums to 0.5, which int() used to truncate to 0
+        class_conf = np.array([[0.45, 0.05], [0.1, 0.4]])
+        sub_conf = np.array([[0.2, 0.05], [0.05, 0.2]])
+        with pytest.raises(ValueError, match="confusion row sum must be a whole number"):
+            counts_from_confusions(class_conf, [sub_conf, None])
 
     def test_class_level_route_has_no_subclass_column(self):
         h = build_task_preset("ClassLevel")

@@ -118,8 +118,11 @@ class TestSyntheticSpec:
          ((4, 4, 4, 4), 0, "feature_dim must be positive"),
          ((4.9, 4, 4, 4), 2, "counts must be whole nonnegative numbers"),
          ((4, 4, float("nan"), 4), 2, "counts must be whole nonnegative numbers"),
-         ((4, 4, 4, float("inf")), 2, "counts must be whole nonnegative numbers")],
-        ids=["negative", "none", "feature_dim", "fractional", "nan", "inf"],
+         ((4, 4, 4, float("inf")), 2, "counts must be whole nonnegative numbers"),
+         ((4, 4, 4, 4), 2.5, "feature_dim must be a whole number, got 2.5"),
+         ((4, 4, 4, 4), float("nan"), "feature_dim must be a whole number, got nan")],
+        ids=["negative", "none", "feature_dim", "fractional", "nan", "inf",
+             "fractional feature_dim", "nan feature_dim"],
     )
     def test_count_and_dim_faults(self, counts, feature_dim, message):
         with pytest.raises(ValueError) as info:
@@ -130,6 +133,9 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(SL22, (4.0, 4, 4, 4), 0.3, 2, seed=0)
         assert spec.samples_per_subclass == (4, 4, 4, 4)
         assert all(type(n) is int for n in spec.samples_per_subclass)
+
+    def test_whole_feature_dim_stored_as_int(self):
+        assert type(SyntheticSpec(SL22, (4, 4, 4, 4), 0.3, np.int64(2), seed=0).feature_dim) is int
 
 
 class TestGenerateSynthetic:

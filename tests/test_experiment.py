@@ -76,6 +76,34 @@ class TestDefaults:
             sl22_trend_config(difficulty=bad)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "given, plain",
+        [({"samples_per_subclass": (248.0, 248, 540, 540)}, {}),
+         ({"tau_skd": 5}, {}),
+         ({"difficulty": 0.5}, {"difficulty": (0.5, 0.5, 0.5, 0.5)}),
+         ({"feature_dim": 2.0, "n_seeds": np.int64(30), "lam": np.float32(0.5)}, {"lam": 0.5})],
+        ids=["float counts", "int tau", "scalar difficulty", "numpy scalars"],
+    )
+    def test_equal_configs_record_equal_config_blocks(self, given, plain):
+        cfg, expected = sl22_trend_config(**given), sl22_trend_config(**plain)
+        assert cfg == expected
+        assert json.dumps(cfg.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_config_built_from_numpy_values_writes_its_report(self, tmp_path):
+        n = np.int64
+        cfg = tiny_config(
+            samples_per_subclass=np.array([12, 12, 26, 26]),
+            teacher=teacher_train_config(epochs=n(3), batch_size=n(32)),
+            student=student_train_config(epochs=n(2), batch_size=n(32)),
+            n_seeds=n(2), base_seed=n(5), lam=np.float32(0.5),
+        )
+        plain = tiny_config(n_seeds=2, lam=0.5)
+        assert cfg == plain
+        write_experiment_report(run_experiment(cfg)[0], tmp_path / "numpy")
+        write_experiment_report(run_experiment(plain)[0], tmp_path / "plain")
+        report = (tmp_path / "numpy" / "report.json").read_bytes()
+        assert report == (tmp_path / "plain" / "report.json").read_bytes()
+
     def test_config_round_trips_through_dict(self):
         d = tiny_config().to_dict()
         assert d["samples_per_subclass"] == [12, 12, 26, 26]

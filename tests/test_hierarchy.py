@@ -1,6 +1,43 @@
+import numpy as np
 import pytest
 
-from skdlab.hierarchy import TASK_PRESETS, LabelHierarchy, build_task_preset
+from skdlab.capacity import DetectionParams, qsc_capacity
+from skdlab.experiment import ExperimentConfig
+from skdlab.hierarchy import TASK_PRESETS, LabelHierarchy, build_task_preset, whole_number
+from skdlab.network import init_network
+from skdlab.training import TrainConfig
+
+
+class TestWholeNumber:
+    """The one whole-number rule every count, size and width goes through."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), np.int32(3)])
+    def test_whole_values_become_ints(self, value):
+        got = whole_number(value, "size")
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3", "2.5"])
+    def test_other_values_fail(self, value):
+        with pytest.raises(ValueError, match=f"^size must be a whole number, got {value!r}$"):
+            whole_number(value, "size")
+
+    SITES = {
+        "hierarchy": lambda v: LabelHierarchy((v, 1)),
+        "hidden_layers": lambda v: TrainConfig(hidden_layers=(v,)),
+        "epochs": lambda v: TrainConfig(epochs=v),
+        "batch_size": lambda v: TrainConfig(batch_size=v),
+        "init_network": lambda v: init_network((2, v, 2), 0),
+        "n_seeds": lambda v: ExperimentConfig(n_seeds=v),
+        "base_seed": lambda v: ExperimentConfig(base_seed=v),
+        "qsc_capacity": lambda v: qsc_capacity(v, 0.7),
+        "n_s": lambda v: DetectionParams(0.9, 0.9, v, 0.85, 2162, 990),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, float("nan")], ids=["fraction", "nan"])
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_every_site_rejects_what_is_not_whole(self, site, value):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            self.SITES[site](value)
 
 
 class TestLabelHierarchy:

@@ -68,6 +68,16 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="must be finite"):
                 TrainConfig(**bad)
 
+    def test_numpy_and_whole_float_settings_stored_plain(self):
+        cfg = TrainConfig(
+            hidden_layers=(np.int64(8), 4.0), epochs=np.int64(3), batch_size=16.0,
+            learning_rate=np.float32(0.5), weight_decay=0, lr_decay=np.float64(0.97),
+        )
+        assert (cfg.epochs, cfg.batch_size, cfg.hidden_layers) == (3, 16, (8, 4))
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, *cfg.hidden_layers))
+        assert (cfg.learning_rate, cfg.weight_decay, cfg.lr_decay) == (0.5, 0.0, 0.97)
+        assert all(type(v) is float for v in (cfg.learning_rate, cfg.weight_decay, cfg.lr_decay))
+
     def test_factory_overrides(self):
         cfg = teacher_train_config(seed=9, epochs=3)
         assert cfg.seed == 9 and cfg.epochs == 3 and cfg.hidden_layers == (64, 32)
