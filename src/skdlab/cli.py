@@ -323,12 +323,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_capacity(args) -> int:
     if args.qsc is not None:
-        n_raw, p_raw = args.qsc
-        try:
-            n, p = int(n_raw), float(p_raw)
-        except ValueError as exc:
-            raise ValueError(f"--qsc expects an integer and a float: {exc}") from exc
-        value = qsc_capacity(n, p)
+        value = qsc_capacity(*args.qsc)  # N is judged by qsc_capacity's whole-number rule
     elif args.bac is not None:
         value = bac_capacity(args.bac[0], args.bac[1])
     elif args.z is not None:
@@ -463,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="channel capacity of standard or explicit channels")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--qsc", nargs=2, metavar=("N", "P"),
+    group.add_argument("--qsc", nargs=2, type=float, metavar=("N", "P"),
                        help="symmetric n-ary channel with diagonal p")
     group.add_argument("--bac", nargs=2, type=float, metavar=("P0", "P1"),
                        help="binary asymmetric channel with per-input accuracies")

@@ -78,6 +78,9 @@ class SyntheticSpec:
         object.__setattr__(self, "feature_dim", whole_number(self.feature_dim, "feature_dim"))
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # built here, so a bad layout or difficulty fails before any sample is drawn
         object.__setattr__(
             self, "centers", auto_centers(self.hierarchy, diff, self.feature_dim)

@@ -72,13 +72,11 @@ class ExperimentConfig:
         spec = self.data_spec(self.base_seed)
         for name in ("samples_per_subclass", "difficulty", "feature_dim"):
             object.__setattr__(self, name, getattr(spec, name))
+        object.__setattr__(self, "base_seed", spec.seed)
         if 1 in self.samples_per_subclass:
             raise ValueError("a subclass of 1 sample cannot split into train and test")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        object.__setattr__(self, "base_seed", whole_number(self.base_seed, "seed"))
-        if self.base_seed < 0:
-            raise ValueError("seed must be non-negative")
         object.__setattr__(self, "n_seeds", whole_number(self.n_seeds, "n_seeds"))
         if self.n_seeds < 2:
             raise ValueError("n_seeds must be at least 2")
@@ -160,6 +158,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[dict, list[str
     The report contains no timings; each seed's wall-clock time is returned
     as a line "seed=<s> wall_clock_s=<t>", to be written to a sidecar log.
     """
+    jobs = whole_number(jobs, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     seeds = [cfg.base_seed + k for k in range(cfg.n_seeds)]

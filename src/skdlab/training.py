@@ -42,8 +42,8 @@ class TrainConfig:
     """One network's training settings.
 
     The defaults train the desk-scale 64-32 teacher (student_train_config gives the
-    8-unit student) with OptimizerState's optimizer defaults.  Widths, epochs and
-    batch_size are stored as ints (see whole_number), the optimizer settings as floats.
+    8-unit student) with OptimizerState's optimizer defaults.  Widths, epochs, batch_size
+    and seed are stored as ints (see whole_number), the optimizer settings as floats.
     """
 
     hidden_layers: tuple[int, ...] = (64, 32)
@@ -60,6 +60,9 @@ class TrainConfig:
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         widths = tuple(whole_number(h, "hidden_layers width") for h in self.hidden_layers)
         object.__setattr__(self, "hidden_layers", widths)
         if any(h < 1 for h in self.hidden_layers):

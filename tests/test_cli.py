@@ -118,6 +118,14 @@ class TestCapacityCommand:
         code, _, err = run(capsys, "capacity", "--qsc", "4.5", "0.7")
         assert code == 2 and "error:" in err
 
+    def test_whole_float_size_reads_as_its_int(self, capsys):
+        assert run(capsys, "capacity", "--qsc", "3.0", "0.7") == (0, "0.403672\n", "")
+        assert run(capsys, "capacity", "--qsc", "3", "0.7") == (0, "0.403672\n", "")
+
+    def test_fractional_size_names_the_whole_number_rule(self, capsys):
+        code, out, err = run(capsys, "capacity", "--qsc", "2.5", "0.7")
+        assert (code, out, err) == (2, "", "error: alphabet size must be a whole number, got 2.5\n")
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "capacity", "--matrix", str(tmp_path / "nope.csv"))
         assert code == 2 and "not found" in err

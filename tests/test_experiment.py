@@ -273,6 +273,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(tiny_config(), jobs=0)
 
+    def test_fractional_jobs_fail_before_any_seed_trains(self, monkeypatch):
+        def untouchable(cfg, seed):
+            raise AssertionError(f"seed {seed} trained")
+
+        monkeypatch.setattr(exp, "run_single_seed", untouchable)
+        with pytest.raises(ValueError, match="^jobs must be a whole number, got 1.5$"):
+            run_experiment(tiny_config(), jobs=1.5)
+
 
 class TestReportFiles:
     def test_files_written_and_deterministic(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skdlab.capacity import DetectionParams, qsc_capacity
+from skdlab.data import SyntheticSpec
 from skdlab.experiment import ExperimentConfig
 from skdlab.hierarchy import TASK_PRESETS, LabelHierarchy, build_task_preset, whole_number
 from skdlab.network import init_network
@@ -21,6 +22,13 @@ class TestWholeNumber:
         with pytest.raises(ValueError, match=f"^size must be a whole number, got {value!r}$"):
             whole_number(value, "size")
 
+    # each seed site returns the seed it stores
+    SEEDS = {
+        "base_seed": lambda v: ExperimentConfig(base_seed=v).base_seed,
+        "train_seed": lambda v: TrainConfig(seed=v).seed,
+        "spec_seed": lambda v: SyntheticSpec(build_task_preset("SL22"), (4, 4, 4, 4), 0.3, 2, v).seed,
+    }
+
     SITES = {
         "hierarchy": lambda v: LabelHierarchy((v, 1)),
         "hidden_layers": lambda v: TrainConfig(hidden_layers=(v,)),
@@ -28,9 +36,9 @@ class TestWholeNumber:
         "batch_size": lambda v: TrainConfig(batch_size=v),
         "init_network": lambda v: init_network((2, v, 2), 0),
         "n_seeds": lambda v: ExperimentConfig(n_seeds=v),
-        "base_seed": lambda v: ExperimentConfig(base_seed=v),
         "qsc_capacity": lambda v: qsc_capacity(v, 0.7),
         "n_s": lambda v: DetectionParams(0.9, 0.9, v, 0.85, 2162, 990),
+        **SEEDS,
     }
 
     @pytest.mark.parametrize("value", [2.5, float("nan")], ids=["fraction", "nan"])
@@ -38,6 +46,13 @@ class TestWholeNumber:
     def test_every_site_rejects_what_is_not_whole(self, site, value):
         with pytest.raises(ValueError, match="must be a whole number"):
             self.SITES[site](value)
+
+    @pytest.mark.parametrize("site", list(SEEDS))
+    def test_seeds_are_stored_as_non_negative_ints(self, site):
+        got = self.SEEDS[site](np.int64(3))
+        assert got == 3 and type(got) is int
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            self.SEEDS[site](-1)
 
 
 class TestLabelHierarchy:

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,25 @@ class TestForward:
         net = init_network([2, 3, 2], seed=0)
         with pytest.raises(ValueError):
             forward(net, np.array([[1.0, np.nan]]))
+
+    def test_logits_are_bit_identical_at_one_and_two_blas_threads(self):
+        # a teacher's 64->32 layer over a full 788-row split is the one product in the lab
+        # that wakes OpenBLAS's second thread; each child prints the raw bytes of its logits
+        code = (
+            "import sys, numpy as np; from skdlab.network import forward, init_network; "
+            "x = np.random.default_rng(7).standard_normal((788, 2)); "
+            "sys.stdout.buffer.write(forward(init_network((2, 64, 32, 4), 7), x).tobytes())"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        logits = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr.decode()
+            logits.append(proc.stdout)
+        assert len(logits[0]) == 788 * 4 * 8
+        assert logits[0] == logits[1]
 
 
 class TestSoftmax:
