@@ -508,7 +508,7 @@ class DetectionParams:
 
     The null hypothesis h0 is the unsplit class; the alternative h1 carries n_s
     subclasses (stored as an int: see whole_number) with subclass accuracy p_s.  The
-    sample counts n_h0/n_h1 are kept as given, valid as LabelHierarchy.sample_counts says.
+    sample counts n_h0/n_h1 are stored as the ints LabelHierarchy.sample_counts returns.
     """
 
     p_h0: float
@@ -527,7 +527,9 @@ class DetectionParams:
             raise ValueError("n_s must be at least 1")
         if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
             raise ValueError("p_s must lie in (0, 1]")
-        LabelHierarchy((1, 1)).sample_counts(((self.n_h0,), (self.n_h1,)))
+        (n_h0,), (n_h1,) = LabelHierarchy((1, 1)).sample_counts(((self.n_h0,), (self.n_h1,)))
+        object.__setattr__(self, "n_h0", n_h0)
+        object.__setattr__(self, "n_h1", n_h1)
 
 
 def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:

@@ -94,11 +94,19 @@ def _ini_schema(base: ExperimentConfig) -> dict[str, tuple[Optional[str], dict[s
     return schema
 
 
+def number(text: str):
+    """text as a number: an integer literal as the exact int, any other numeral as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _cast(raw: str, default):
-    """raw as the type of default; a tuple as comma- or space-separated items of its items' type."""
+    """raw as a str if default is one, else a number; a tuple as comma- or space-separated items."""
     if isinstance(default, tuple):
         return tuple(_cast(tok, default[0]) for tok in raw.replace(",", " ").split())
-    return type(default)(raw)
+    return raw if isinstance(default, str) else number(raw)
 
 
 def _experiment_config(parser) -> ExperimentConfig:
@@ -305,8 +313,6 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     parser, cfg_text = _load_ini(args.config)
     cfg = _experiment_config(parser)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     report, timings = run_experiment(cfg, jobs=args.jobs)
     report["config_ini"] = cfg_text
     paths = write_experiment_report(report, args.out, timings)
@@ -436,17 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="multi-seed six-variant comparison")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent seed workers")
+    p.add_argument("--jobs", type=number, default=1, help="concurrent seed workers")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bits", help="label-bit bounds from parameters or confusions")
     p.add_argument("--p-h0", type=float, help="null-hypothesis class accuracy")
     p.add_argument("--p-h1", type=float, help="alternative-hypothesis class accuracy")
-    p.add_argument("--n-s", type=int, help="subclass count of the alternative")
+    p.add_argument("--n-s", type=number, help="subclass count of the alternative")
     p.add_argument("--p-s", type=float,
                    help="subclass accuracy of the alternative (not with --n-s 1)")
-    p.add_argument("--n-h0", type=int, help="null-hypothesis sample count")
-    p.add_argument("--n-h1", type=int, help="alternative-hypothesis sample count")
+    p.add_argument("--n-h0", type=number, help="null-hypothesis sample count")
+    p.add_argument("--n-h1", type=number, help="alternative-hypothesis sample count")
     p.add_argument("--from-confusion", metavar="CLASS_CSV",
                    help="class confusion counts (training set)")
     p.add_argument("--subclass-confusion", metavar="CSV", action="append",

@@ -217,10 +217,9 @@ def load_hierarchy(path) -> LabelHierarchy:
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict) or "subclasses_per_class" not in payload:
             raise ValueError("missing subclasses_per_class")
-        spc = payload["subclasses_per_class"]
-        if not isinstance(spc, list) or not all(type(n) is int for n in spc):
+        if not isinstance(payload["subclasses_per_class"], list):
             raise ValueError("subclasses_per_class must be a list of integers")
-        return LabelHierarchy(tuple(spc))
+        return LabelHierarchy(payload["subclasses_per_class"])  # each count by whole_number
     except ValueError as exc:  # invalid JSON included
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -255,7 +254,7 @@ def load_dataset(path, hierarchy: LabelHierarchy) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
             try:
                 feats.append([float(v) for v in row[:d]])
-                subclass, cls = int(row[d]), int(row[d + 1])
+                subclass, cls = (whole_number(float(v), "label") for v in row[d:])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, feats[-1])):

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 def whole_number(value, what: str) -> int:
     """value as an int if it is a whole number: the one rule for every count, size and width.
-    3, 3.0 and np.int64(3) give 3; 2.5, NaN, infinities and any str raise ValueError."""
-    if isinstance(value, str) or not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
+    3, 3.0 and np.int64(3) give 3; 2.5, NaN, infinities, bools and non-numbers raise ValueError."""
+    try:
+        if not isinstance(value, (bool, str)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # a non-number, NaN or an infinity
+        pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)

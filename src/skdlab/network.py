@@ -41,7 +41,7 @@ class DenseNetwork:
     _layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(self.layer_dims)
+        dims = self.layer_dims = tuple(whole_number(d, "layer dimension") for d in self.layer_dims)
         shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
         arrays = list(self.weights) + list(self.biases)
         if [np.shape(a) for a in arrays] != shapes:
@@ -262,7 +262,7 @@ def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
             if not isinstance(payload.get(key), list):
                 raise ValueError(f"{key} is missing or not a list")
         net = DenseNetwork(
-            tuple(payload["layer_dims"]),
+            payload["layer_dims"],
             [np.array(w, dtype=float) for w in payload["weights"]],
             [np.array(b, dtype=float) for b in payload["biases"]],
         )

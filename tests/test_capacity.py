@@ -883,7 +883,8 @@ class TestSampleCounts:
 
     def test_whole_floats_accepted(self):
         params = DetectionParams(0.9, 0.9, 2, 0.85, 2162.0, np.int64(990))
-        assert params.n_h0 == 2162.0 and type(params.n_h0) is float  # kept as given
+        assert (params.n_h0, params.n_h1) == (2162, 990)  # stored as sample_counts' ints
+        assert type(params.n_h0) is int and type(params.n_h1) is int
         ints = DetectionParams(0.9, 0.9, 2, 0.85, 2162, 990)
         assert detection_bits_bound(params) == detection_bits_bound(ints)
         h = LabelHierarchy((2, 1))

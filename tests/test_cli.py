@@ -270,8 +270,13 @@ class TestBitsCommand:
         )
         assert code == 2 and "class.csv: class confusion must be 2x2" in err
 
-    @pytest.mark.parametrize("value", [3, [1.5, 2]])
-    def test_confusion_route_rejects_malformed_hierarchy(self, capsys, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, message",
+        [(3, "subclasses_per_class must be a list of integers"),
+         ([1.5, 2], "subclass count must be a whole number, got 1.5")],
+        ids=["3", "value1"],
+    )
+    def test_confusion_route_rejects_malformed_hierarchy(self, capsys, tmp_path, value, message):
         hier = tmp_path / "hierarchy.json"
         hier.write_text(json.dumps({"subclasses_per_class": value}))
         class_csv = tmp_path / "class.csv"
@@ -279,12 +284,12 @@ class TestBitsCommand:
         code, _, err = run(
             capsys, "bits", "--from-confusion", str(class_csv), "--hierarchy", str(hier)
         )
-        assert code == 2 and "hierarchy.json: subclasses_per_class must be a list of integers" in err
+        assert (code, err) == (2, f"error: {hier}: {message}\n")
 
     @pytest.mark.parametrize(
         "text",
         ["{bad", '{"subclasses_per_class": [0, 2]}', '{"subclasses_per_class": []}',
-         '{"subclasses": [1, 2]}'],
+         '{"subclasses": [1, 2]}', '{"subclasses_per_class": [true, 2]}'],
     )
     def test_bad_hierarchy_file_is_named(self, capsys, tmp_path, text):
         hier = tmp_path / "hierarchy.json"
@@ -855,7 +860,7 @@ class TestExperimentCommand:
             capsys, "experiment", "-c", str(tiny_config), "-o", str(tmp_path / "x"),
             "--jobs", "0",
         )
-        assert code == 2 and "--jobs" in err
+        assert (code, err) == (2, "error: jobs must be at least 1\n")
 
     def test_failed_seed_is_reported(self, capsys, tmp_path, monkeypatch):
         import skdlab.experiment
@@ -944,6 +949,145 @@ class TestConfigKeys:
         ini = tmp_path / "documented.ini"
         ini.write_text(README.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
         assert _experiment_config(_load_ini(ini)[0]) == ExperimentConfig()
+
+
+class TestWholeNumberAtEachBoundary:
+    """Every count that enters from outside is judged by whole_number: 2.0 gives what 2
+    gives, 2.5 exits 2 naming the key, flag or file, and an integer literal stays exact."""
+
+    def train_teacher(self, capsys, data_dir, tmp_path, name, ini_text):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(ini_text)
+        out = tmp_path / name
+        code, _, err = run(
+            capsys, "train", "-c", str(ini), "--data", str(data_dir), "--role", "teacher",
+            "-o", str(out),
+        )
+        return code, err, out
+
+    @pytest.mark.parametrize(
+        "section, key, whole, as_float",
+        [("teacher", "epochs", "2", "2.0"), ("data", "seed", "1000", "1e3")],
+    )
+    def test_ini_value(self, capsys, data_dir, tmp_path, section, key, whole, as_float):
+        outs = []
+        for name, raw in (("whole", whole), ("float", as_float)):
+            code, err, out = self.train_teacher(
+                capsys, data_dir, tmp_path, name, f"[{section}]\n{key} = {raw}\n"
+            )
+            assert code == 0, err
+            metrics = json.loads((out / "metrics.json").read_text())
+            del metrics["config_ini"]  # the raw text, which differs by design
+            outs.append(((out / "checkpoint.json").read_bytes(), metrics))
+        assert outs[0] == outs[1]
+
+        code, err, out = self.train_teacher(
+            capsys, data_dir, tmp_path, "fraction", f"[{section}]\n{key} = 2.5\n"
+        )
+        message = f"error: [{section}] {key}: {key} must be a whole number, got 2.5\n"
+        assert (code, err) == (2, message)
+        assert not out.exists()
+
+    # the nearest float to 2**53 + 1 is 2**53, and 10**400 has none
+    @pytest.mark.parametrize("seed", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_ini_integer_literal_is_exact(self, capsys, data_dir, tmp_path, seed):
+        code, err, out = self.train_teacher(
+            capsys, data_dir, tmp_path, "big", f"[data]\nseed = {seed}\n[teacher]\nepochs = 1\n"
+        )
+        assert code == 0, err
+        assert json.loads((out / "metrics.json").read_text())["seed"] == seed
+
+    def test_jobs_flag(self, capsys, tiny_config, tmp_path):
+        reports = []
+        for jobs in ("2", "2.0"):
+            out = tmp_path / jobs
+            code, _, err = run(capsys, "experiment", "-c", str(tiny_config), "-o", str(out),
+                               "--jobs", jobs)
+            assert code == 0, err
+            names = ("report.json", "summary.csv", "per_seed.csv")
+            reports.append([(out / n).read_bytes() for n in names])
+        assert reports[0] == reports[1]
+
+        out = tmp_path / "fraction"
+        code, _, err = run(capsys, "experiment", "-c", str(tiny_config), "-o", str(out),
+                           "--jobs", "2.5")
+        assert (code, err) == (2, "error: jobs must be a whole number, got 2.5\n")
+        assert not out.exists()
+
+    def test_count_flags(self, capsys, tmp_path):
+        flags = ["--p-h0", "0.9", "--p-h1", "0.9", "--p-s", "0.85", "--n-h1", "990"]
+        outs = []
+        for n_s, n_h0 in (("2", "2162"), ("2.0", "2162.0")):
+            out = tmp_path / n_h0
+            code, stdout, err = run(capsys, "bits", *flags, "--n-s", n_s, "--n-h0", n_h0,
+                                    "-o", str(out))
+            assert code == 0, err
+            outs.append((stdout.replace(str(out), "OUT"), (out / "bits.json").read_bytes(),
+                         (out / "bits.csv").read_bytes()))
+        assert outs[0] == outs[1]
+
+        code, out, err = run(capsys, "bits", *flags, "--n-s", "2.5", "--n-h0", "2162")
+        assert (code, out, err) == (2, "", "error: n_s must be a whole number, got 2.5\n")
+        code, out, err = run(capsys, "bits", *flags, "--n-s", "2", "--n-h0", "2162.5")
+        assert (code, out, err) == (2, "", "error: counts must be whole nonnegative numbers\n")
+
+    def test_count_flags_name_the_numeral_parser(self, capsys, tiny_config, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "-c", str(tiny_config), "-o", str(tmp_path), "--jobs", "abc"])
+        assert exc.value.code == 2
+        assert "argument --jobs: invalid number value: 'abc'" in capsys.readouterr().err
+
+    def test_checkpoint_layer_dims(self, capsys, data_dir, tmp_path):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_network((2, 3, 2), seed=0), ckpt, extra={"label_level": "class"})
+        payload = json.loads(ckpt.read_text())
+        capsys.readouterr()  # the data_dir fixture's output
+        outs = []
+        for dims in ([2, 3, 2], [2.0, 3, 2.0]):
+            ckpt.write_text(json.dumps({**payload, "layer_dims": dims}))
+            code, stdout, err = run(capsys, "evaluate", "--checkpoint", str(ckpt),
+                                    "--data", str(data_dir), "-o", str(tmp_path / "eval.json"))
+            assert code == 0, err
+            outs.append((stdout, (tmp_path / "eval.json").read_bytes()))
+        assert outs[0] == outs[1]
+
+        for bad in (2.5, True, None):
+            ckpt.write_text(json.dumps({**payload, "layer_dims": [bad, 3, 2]}))
+            code, out, err = run(capsys, "evaluate", "--checkpoint", str(ckpt),
+                                 "--data", str(data_dir))
+            assert (code, out) == (2, "")
+            assert err == f"error: {ckpt}: layer dimension must be a whole number, got {bad!r}\n"
+
+    def test_hierarchy_json(self, capsys, tmp_path):
+        class_csv = tmp_path / "class.csv"
+        class_csv.write_text("90,10\n20,80\n")
+        sub_csv = tmp_path / "sub.csv"
+        sub_csv.write_text("40,10\n10,40\n")
+        outs = []
+        for name, spc in (("whole", [1, 2]), ("float", [1.0, 2.0])):
+            hier = tmp_path / f"{name}.json"
+            hier.write_text(json.dumps({"subclasses_per_class": spc}))
+            outs.append(run(capsys, "bits", "--from-confusion", str(class_csv),
+                            "--subclass-confusion", str(sub_csv), "--hierarchy", str(hier)))
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    def test_data_csv_labels(self, capsys, tiny_config, data_dir, tmp_path):
+        code, err, whole = self.train_teacher(capsys, data_dir, tmp_path, "whole", TINY_INI)
+        assert code == 0, err
+        train_csv = data_dir / "train.csv"
+        header, *rows = train_csv.read_text().splitlines()
+        as_floats = [",".join(r.split(",")[:-2] + [f"{int(v)}.0" for v in r.split(",")[-2:]])
+                     for r in rows]
+        train_csv.write_text("\n".join([header, *as_floats]) + "\n")
+        code, err, floats = self.train_teacher(capsys, data_dir, tmp_path, "float", TINY_INI)
+        assert code == 0, err
+        for name in ("checkpoint.json", "metrics.json"):
+            assert (whole / name).read_bytes() == (floats / name).read_bytes()
+
+        train_csv.write_text(f"{header}\n0.5,0.5,0,0\n0.5,0.5,1.5,0\n")
+        code, err, out = self.train_teacher(capsys, data_dir, tmp_path, "fraction", TINY_INI)
+        assert (code, err) == (2, f"error: {train_csv}:3: label must be a whole number, got 1.5\n")
+        assert not out.exists()
 
 
 def test_import_does_not_load_the_process_pool():

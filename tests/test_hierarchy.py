@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ class TestWholeNumber:
         got = whole_number(value, "size")
         assert got == 3 and type(got) is int
 
-    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3", "2.5"])
+    @pytest.mark.parametrize(
+        "value", [2.5, float("nan"), float("inf"), -float("inf"), "3", "2.5", True, None, [3]]
+    )
     def test_other_values_fail(self, value):
-        with pytest.raises(ValueError, match=f"^size must be a whole number, got {value!r}$"):
+        message = re.escape(f"size must be a whole number, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             whole_number(value, "size")
 
     # each seed site returns the seed it stores
