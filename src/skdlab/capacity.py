@@ -80,6 +80,7 @@ EXP_M1 = exp(-1.0)
 # Blahut-Arimoto steps taken after a Newton step is refused for emptying an
 # output; the 7x13 channel of the tests then takes 93 Newton steps, not 1553
 NEWTON_PAUSE = 16
+_DETECTION_HIERARCHY = LabelHierarchy((1, 1))  # h0 and h1, whose rule checks n_h0 and n_h1
 
 
 class ConvergenceError(RuntimeError):
@@ -108,11 +109,12 @@ class ChannelSpec:
         t = np.array(self.transition, dtype=float)  # a private copy: the caller's array may change
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise ValueError("transition must be a 2-D matrix")
-        lo, hi = t.min(), t.max()
+        lo, hi = np.minimum.reduce(t, axis=None), np.maximum.reduce(t, axis=None)
         if not (lo >= -1e-15 and hi <= 1.0 + 1e-15):  # NaN fails both
             raise ValueError("transition entries must lie in [0, 1]")
-        rows = t.sum(axis=1)
-        if not (rows.max() - 1.0 <= ROW_SUM_TOL and 1.0 - rows.min() <= ROW_SUM_TOL):
+        rows = np.add.reduce(t, axis=1)
+        if not (np.maximum.reduce(rows) - 1.0 <= ROW_SUM_TOL
+                and 1.0 - np.minimum.reduce(rows) <= ROW_SUM_TOL):
             raise ValueError("transition rows must sum to 1")
         if lo < 0.0 or hi > 1.0:  # rounding residue within 1e-15 of the range
             t = np.clip(t, 0.0, 1.0)
@@ -209,17 +211,17 @@ def blahut_arimoto(
     m = channel.input_size
     r = np.full(m, 1.0 / m)
     q = r @ P
-    if not q.all():
+    if not np.logical_and.reduce(q):
         P = P[:, q > 0]
-    neg_entropy = np.sum(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
+    neg_entropy = np.add.reduce(P * np.log2(P, out=np.zeros_like(P), where=P > 0), axis=1)
 
     def at(r):
         """(q, D, I, max D) at input r, or None if q has an empty column."""
         q = r @ P
-        if not q.all():  # an emptied column would give some D_x = +inf
+        if not np.logical_and.reduce(q):  # an emptied column would give some D_x = +inf
             return None
         D = neg_entropy - P @ np.log2(q)
-        return q, D, float(r @ D), float(D.max())
+        return q, D, float(r @ D), float(np.maximum.reduce(D))
 
     q, D, i_lower, i_upper = at(r)
     pause = 0  # iterations left that skip the Newton step
@@ -252,18 +254,19 @@ def _blahut_arimoto_two_inputs(P, tol, max_iters) -> tuple[float, np.ndarray]:
     """blahut_arimoto for a 2 x n channel: a safeguarded Newton search on one mass.
 
     With r = (1 - x, x), I(x) is concave with slope D_1 - D_0 and second
-    derivative -sum_y (P_0y - P_1y)^2 / (q_y ln 2).  The optimal x lies in
-    [1/e, 1 - 1/e] (Majani and Rumsey; see the module docstring), the
-    search's first interval [lo, hi].  An iteration that does not certify
-    moves lo up to x where the slope is positive, else hi down to x, and
-    takes the Newton point if it lies strictly inside (lo, hi), else the
-    midpoint, as it does when the curvature underflows to 0.  Inside
+    derivative -sum_y (P_0y - P_1y)^2 / (q_y ln 2).  One pass over the
+    columns gives D_0, D_1, I and that curvature at a point.  The optimal x
+    lies in [1/e, 1 - 1/e] (Majani and Rumsey; see the module docstring),
+    the search's first interval [lo, hi].  An iteration that does not
+    certify moves lo up to x where the slope is positive, else hi down to
+    x, and takes the Newton point if it lies strictly inside (lo, hi), else
+    the midpoint, as it does when the curvature underflows to 0.  Inside
     [1/e, 1 - 1/e] every column kept at the uniform start has q > 0, so no
     output empties and no step leaves the simplex.
 
     A Newton point at or beyond 0 or 1 needs rows that agree to rounding,
     where I is flat; the vertex it points to is returned if its own bracket
-    certifies and no output has mass 0 there.
+    certifies and no output has mass 0 there (its curvature may be inf).
     """
     # a column with no mass at the uniform start (0.5, 0.5) is dropped
     cols = [(a, b) for a, b in zip(*P.tolist()) if 0.5 * a + 0.5 * b > 0.0]
@@ -271,33 +274,34 @@ def _blahut_arimoto_two_inputs(P, tol, max_iters) -> tuple[float, np.ndarray]:
     neg_entropy_1 = sum(b * log2(b) for _, b in cols if b > 0.0)
 
     def at(x):
-        """(q, D_0, D_1, I) at input (1 - x, x), or None if q has an empty column."""
-        q = [a + x * (b - a) for a, b in cols]
-        if not all(q):
-            return None
-        log_q = [log2(v) for v in q]
-        d0 = neg_entropy_0 - sum(a * lq for (a, _), lq in zip(cols, log_q))
-        d1 = neg_entropy_1 - sum(b * lq for (_, b), lq in zip(cols, log_q))
-        return q, d0, d1, (1.0 - x) * d0 + x * d1
+        """(D_0, D_1, I, curvature) at input (1 - x, x), or None if q has an empty column."""
+        s0 = s1 = curvature = 0  # sum()'s start, so each sum keeps its terms, order and bits
+        for a, b in cols:
+            q = a + x * (b - a)
+            if not q:
+                return None
+            lq = log2(q)
+            # |a - b| / q <= e inside [1/e, 1 - 1/e], so no term overflows; all can underflow
+            s0, s1, curvature = s0 + a * lq, s1 + b * lq, curvature + (a - b) / q * (a - b)
+        d0, d1 = neg_entropy_0 - s0, neg_entropy_1 - s1
+        return d0, d1, (1.0 - x) * d0 + x * d1, curvature
 
     lo, hi, x = EXP_M1, 1.0 - EXP_M1, 0.5
     for _ in range(max_iters):
-        q, d0, d1, i_lower = at(x)
+        d0, d1, i_lower, curvature = at(x)
         if max(d0, d1) - i_lower < tol:
             return max(i_lower, 0.0), np.array([1.0 - x, x])
         if d1 > d0:  # I rises with x
             lo = x
         else:
             hi = x
-        # |a - b| / q <= e inside [1/e, 1 - 1/e], so no term overflows; all can underflow
-        curvature = sum((a - b) / v * (a - b) for (a, b), v in zip(cols, q))
         # x is now lo or hi, so a curvature of 0 takes the midpoint below
         newton = x + (d1 - d0) * LN2 / curvature if curvature else x
         if not 0.0 < newton < 1.0:
             vertex = float(newton >= 1.0)
             new = at(vertex)
-            if new is not None and max(new[1], new[2]) - new[3] < tol:
-                return max(new[3], 0.0), np.array([1.0 - vertex, vertex])
+            if new is not None and max(new[0], new[1]) - new[2] < tol:
+                return max(new[2], 0.0), np.array([1.0 - vertex, vertex])
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
     raise ConvergenceError(f"no convergence within {max_iters} iterations (gap > {tol})")
 
@@ -527,7 +531,15 @@ class DetectionParams:
             raise ValueError("n_s must be at least 1")
         if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
             raise ValueError("p_s must lie in (0, 1]")
-        (n_h0,), (n_h1,) = LabelHierarchy((1, 1)).sample_counts(((self.n_h0,), (self.n_h1,)))
+        try:
+            (n_h0,), (n_h1,) = _DETECTION_HIERARCHY.sample_counts(((self.n_h0,), (self.n_h1,)))
+        except ValueError as exc:  # name the count the rule refuses; a zero total names neither
+            for name, n in (("n_h0", self.n_h0), ("n_h1", self.n_h1)):
+                try:
+                    _DETECTION_HIERARCHY.sample_counts(((n,), (1,)))
+                except ValueError:
+                    raise ValueError(f"{name}: {exc}, got {n!r}") from exc
+            raise
         object.__setattr__(self, "n_h0", n_h0)
         object.__setattr__(self, "n_h1", n_h1)
 
@@ -551,23 +563,30 @@ def detection_bits_bound(params: DetectionParams) -> BitsBreakdown:
 def confusion_to_channel(confusion_counts) -> ChannelSpec:
     """Row-normalize an empirical confusion matrix into a channel.
 
-    The counts must be finite and nonnegative, with at least one sample per
-    true label.
+    The counts must form a 2-D matrix, finite and nonnegative, with a finite
+    sum and at least one sample per true label.
     """
     c = np.asarray(confusion_counts, dtype=float)
-    if not np.isfinite(c).all():
+    if c.ndim != 2 or not c.size:
+        raise ValueError("confusion counts must be a 2-D matrix")
+    if not np.logical_and.reduce(np.isfinite(c), axis=None):
         raise ValueError("confusion counts must be finite")
-    if (c < 0).any():
+    if np.logical_or.reduce(c < 0, axis=None):
         raise ValueError("confusion counts must be nonnegative")
-    rows = c.sum(axis=1, keepdims=True)
-    if not rows.all():
+    with np.errstate(over="ignore"):  # a row that sums to inf is refused below, unwarned
+        rows = np.add.reduce(c, axis=1, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(rows), axis=None):
+        raise ValueError("confusion counts must sum to a finite number in every row")
+    if not np.logical_and.reduce(rows, axis=None):
         raise ValueError("every true label needs at least one sample")
-    return ChannelSpec(c / rows)
+    spec = object.__new__(ChannelSpec)  # no __post_init__: the checks above imply its own
+    object.__setattr__(spec, "transition", c / rows)
+    return spec
 
 
 def _accuracy(c: np.ndarray) -> float:
     """A square confusion's accuracy for the symmetric closed forms: trace / total."""
-    return float(np.trace(c) / c.sum())
+    return float(c.trace() / np.add.reduce(c, axis=None))
 
 
 @dataclass(frozen=True)

@@ -96,10 +96,12 @@ def _ini_schema(base: ExperimentConfig) -> dict[str, tuple[Optional[str], dict[s
 
 def number(text: str):
     """text as a number: an integer literal as the exact int, any other numeral as a float."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    raise ValueError("not a number")
 
 
 def _cast(raw: str, default):

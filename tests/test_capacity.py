@@ -540,6 +540,46 @@ class TestBlahutArimoto:
             for p1 in grid:
                 blahut_arimoto(bac_channel(p0, p1), max_iters=20)
 
+    # float.hex of (capacity, optimal input), pinned bit for bit: a sum taken in another
+    # order or from another start shows here.  Each case ends on its own path
+    TWO_INPUT_BITS = {
+        "interior point certifies": (
+            [[0.9, 0.1], [0.3, 0.7]], {},
+            "0x1.2fcabbac11894p-2", ("0x1.0e6640370a8f0p-1", "0x1.e3337f91eae20p-2"),
+        ),
+        # three terms per sum, so their order shows; each row's negative entropy, a sum()
+        # of three terms, is the same with and without Python 3.12's compensated sum()
+        "three columns": (
+            [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], {},
+            "0x1.54e03e705cd4dp-2", ("0x1.f517ebca93c84p-2", "0x1.05740a1ab61bep-1"),
+        ),
+        # each curvature term underflows to 0, so the second point is the midpoint of
+        # [0.5, 1 - 1/e], where the bracket certifies
+        "midpoint on zero curvature": (
+            [[9e-323, 1.0], [1.04e-322, 1.0]], {"tol": 1e-323},
+            "0x0.0p+0", ("0x1.bc5ab1b16779cp-2", "0x1.21d2a7274c432p-1"),
+        ),
+        "vertex certifies": (
+            [[1e-17, 1.0], [6e-17, 1.0 - 6e-17]], {"tol": 1e-18, "max_iters": 2},
+            "0x0.0p+0", ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ),
+        "all-zero column dropped": (
+            [[0.0, 0.7, 0.3], [0.0, 0.2, 0.8]], {},
+            "0x1.87a7dc6e769f4p-3", ("0x1.f5beaf611475cp-2", "0x1.0520a84f75c52p-1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(TWO_INPUT_BITS))
+    def test_two_input_bits(self, case):
+        P, kwargs, cap_hex, r_hex = self.TWO_INPUT_BITS[case]
+        cap, r = blahut_arimoto(ChannelSpec(P), **kwargs)
+        assert (cap.hex(), tuple(v.hex() for v in r.tolist())) == (cap_hex, r_hex)
+
+    def test_zero_curvature_takes_the_midpoint(self):
+        P, kwargs, _, _ = self.TWO_INPUT_BITS["midpoint on zero curvature"]
+        _, r = blahut_arimoto(ChannelSpec(P), **kwargs)
+        assert r[1] == 0.5 * (0.5 + (1.0 - math.exp(-1.0)))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_permutation_channel_carries_log2_n_bits(self, n):
         P = np.eye(n)[np.roll(np.arange(n), 1)]
@@ -881,6 +921,19 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match=self.MESSAGE):
             label_bits_report([[90, 10], [20, 80]], subs, h, counts)
 
+    @pytest.mark.parametrize("which", ["n_h0", "n_h1"])
+    def test_detection_params_name_the_count(self, which):
+        counts = {"n_h0": 2162, "n_h1": 990, which: 2162.5}
+        with pytest.raises(ValueError) as info:
+            DetectionParams(0.9, 0.9, 2, 0.85, **counts)
+        assert str(info.value) == f"{which}: {self.MESSAGE}, got 2162.5"
+
+    def test_detection_params_name_the_first_bad_count_or_none(self):
+        with pytest.raises(ValueError, match=f"^n_h0: {self.MESSAGE}, got -1$"):
+            DetectionParams(0.9, 0.9, 2, 0.85, -1, 0.5)
+        with pytest.raises(ValueError, match="^total sample count is zero$"):
+            DetectionParams(0.9, 0.9, 2, 0.85, 0, 0.0)
+
     def test_whole_floats_accepted(self):
         params = DetectionParams(0.9, 0.9, 2, 0.85, 2162.0, np.int64(990))
         assert (params.n_h0, params.n_h1) == (2162, 990)  # stored as sample_counts' ints
@@ -891,6 +944,27 @@ class TestSampleCounts:
         counts = HierarchyBitsParams(h, 0.9, (0.85, 1.0), ((300.0, np.float64(300)), (400,))).counts
         assert counts == ((300, 300), (400,))
         assert all(type(n) is int for row in counts for n in row)
+
+
+class TestSolvesPerReport:
+    """label_bits_report solves one channel per confusion, through the module's
+    blahut_arimoto binding: perfbench's traced sweep counts those calls."""
+
+    @pytest.mark.parametrize("task, solves", [("SL21", 2), ("SL22", 3)])
+    def test_one_solve_per_confusion(self, monkeypatch, task, solves):
+        channels = []
+        real = capacity.blahut_arimoto
+
+        def counted(channel, *args, **kwargs):
+            channels.append(channel)
+            return real(channel, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "blahut_arimoto", counted)
+        h = build_task_preset(task)
+        subs = [[[40, 10], [10, 40]] if n > 1 else None for n in h.subclasses_per_class]
+        counts = tuple((50,) * n for n in h.subclasses_per_class)
+        label_bits_report([[90, 10], [20, 80]], subs, h, counts)
+        assert len(channels) == solves
 
 
 class TestFittedAccuracy:
@@ -929,6 +1003,34 @@ class TestFittedAccuracy:
     def test_non_finite_count_rejected(self, bad):
         with pytest.raises(ValueError, match="confusion counts must be finite"):
             confusion_to_channel([[bad, 10], [20, 80]])
+
+    def test_overflowing_row_rejected(self):
+        # each count is finite but the first row sums to inf; numpy's overflow warning
+        # would be an error here, so the check is made without one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="confusion counts must sum to a finite number"):
+                confusion_to_channel([[1e308, 1e308], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [[9, 1], [[[9, 1], [2, 8]]], np.zeros((0, 2))],
+                             ids=["1-D", "3-D", "no rows"])
+    def test_confusion_must_be_2d(self, bad):
+        with pytest.raises(ValueError, match="confusion counts must be a 2-D matrix"):
+            confusion_to_channel(bad)
+
+    def test_channel_passes_the_public_checks_unchanged(self):
+        # confusion_to_channel builds its channel without ChannelSpec's checks, since its
+        # own imply them: the public constructor accepts each one as it is, unclipped
+        rng = np.random.default_rng(5)
+        confusions = [rng.integers(0, 1000, size=(n, n)) + np.eye(n, dtype=int) for n in (2, 3, 7)]
+        confusions += [[[1e300, 1e-300, 5e-324], [0.0, 1.0, 1e307]],
+                       [[8e307, 8e307], [1e-320, 0.0]],
+                       [[1, 1, 1], [1, 2, 3]],
+                       [[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]]]
+        for c in confusions:
+            ch = confusion_to_channel(c)
+            assert type(ch) is ChannelSpec and ch.transition.dtype == np.float64
+            np.testing.assert_array_equal(ChannelSpec(ch.transition).transition, ch.transition)
 
 
 class TestLabelBitsReport:
@@ -1092,6 +1194,10 @@ class TestLabelBitsReport:
         ),
         "infinite subclass count": (
             [[90, 10], [20, 80]], [[float("inf"), 10], [10, 40]], "confusion counts must be finite"
+        ),
+        "overflowing class row": (
+            [[1e308, 1e308], [20, 80]], [[40, 10], [10, 40]],
+            "confusion counts must sum to a finite number in every row",
         ),
     }
 

@@ -143,6 +143,14 @@ class TestCapacityCommand:
         code, out, err = run(capsys, "capacity", "--matrix", str(m))
         assert code == 2 and out == "" and "bad.csv:2: non-finite" in err
 
+    def test_overflowing_matrix_row(self, capsys, tmp_path):
+        # every cell is finite, but the first row sums to inf: refused as counts, unwarned
+        m = tmp_path / "big.csv"
+        m.write_text("1e308,1e308\n1,1\n")
+        code, out, err = run(capsys, "capacity", "--matrix", str(m))
+        message = "error: confusion counts must sum to a finite number in every row\n"
+        assert (code, out, err) == (2, "", message)
+
     @pytest.mark.parametrize(
         "text, message",
         [("0.9,x\n0.1,0.9\n", "bad.csv:1: could not convert string to float"),
@@ -398,6 +406,7 @@ class TestGenerateCommand:
          ("[data]\nsamples_per_subclass = 1,12,26,26\n",
           "[data] samples_per_subclass: a subclass of 1 sample cannot split"),
          ("epochs = 4\n", "bad.ini: File contains no section headers"),
+         ("[teacher]\nepochs = pony\n", "error: [teacher] epochs = 'pony': not a number\n"),
          ("[data]\ndifficulty = 0.2,0.8\n",
           "error: [data] difficulty: difficulty has 2 entries, expected 4\n"),
          ("[data]\ndifficulty = 0.2,-0.1,0.2,0.8\n",
@@ -1029,7 +1038,8 @@ class TestWholeNumberAtEachBoundary:
         code, out, err = run(capsys, "bits", *flags, "--n-s", "2.5", "--n-h0", "2162")
         assert (code, out, err) == (2, "", "error: n_s must be a whole number, got 2.5\n")
         code, out, err = run(capsys, "bits", *flags, "--n-s", "2", "--n-h0", "2162.5")
-        assert (code, out, err) == (2, "", "error: counts must be whole nonnegative numbers\n")
+        message = "error: n_h0: counts must be whole nonnegative numbers, got 2162.5\n"
+        assert (code, out, err) == (2, "", message)
 
     def test_count_flags_name_the_numeral_parser(self, capsys, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as exc:
