@@ -124,22 +124,22 @@ def aggregate_class_probabilities(subclass_probs, hierarchy: LabelHierarchy) -> 
 # takes the logits as the 2-D array backward passes.  The training loop's
 # specs are CrossEntropyOnLabels and its subclass CombinedObjective, which
 # adds the teacher term to the CE it inherits; both share one rows(index),
-# the spec on a subset of samples.
+# the spec on a subset of samples.  These two also take a stack: labels
+# (k, n) and logits (k, n, width) give k losses, each reduced over its own
+# network's last two axes.
 # Gradients are exact analytic derivatives:
 #   d(mean CE)/dz      = (softmax(z) - onehot) / n
 #   d(mean distill)/dz = (softmax(z/tau) - softmax(t/tau)) / (n * tau)
 
 
 def _one_hot_table(labels, width: int) -> np.ndarray:
-    """The (n, width) one-hot table of integer labels, each checked to lie in [0, width)."""
-    y = np.asarray(labels, dtype=int).ravel()
+    """The (..., n, width) one-hot table of integer labels, each checked to lie in [0, width)."""
+    y = np.asarray(labels, dtype=int)
     if y.size == 0:
         raise ValueError("empty label batch")
     if y.min() < 0 or y.max() >= width:
         raise ValueError(f"label out of range for width {width}")
-    hot = np.zeros((y.size, width))
-    hot[np.arange(y.size), y] = 1.0
-    return hot
+    return np.equal(y[..., None], np.arange(width)).astype(float)
 
 
 class CrossEntropyOnLabels:
@@ -157,7 +157,10 @@ class CrossEntropyOnLabels:
         self._one_hot = None if width is None else _one_hot_table(self.labels, width)
 
     def rows(self, index):
-        """The same spec on a subset of samples: each PER_SAMPLE array sliced by index."""
+        """The same spec on a subset of samples: each PER_SAMPLE array indexed by index.
+
+        For a stack, index leads with one index per stack axis, as in (networks, order).
+        """
         sub = object.__new__(type(self))
         sub.__dict__ = attrs = self.__dict__.copy()
         for name in self.PER_SAMPLE:
@@ -167,18 +170,18 @@ class CrossEntropyOnLabels:
     def loss_and_logit_grad(self, z):
         hot = self._one_hot
         if hot is None:
-            hot = _one_hot_table(self.labels, z.shape[1])
-        if hot.shape[0] != z.shape[0]:
-            raise ValueError("labels do not match batch size")
-        if hot.shape[1] != z.shape[1]:
-            raise ValueError(f"label width {hot.shape[1]} does not match logit width {z.shape[1]}")
-        n = z.shape[0]
+            hot = _one_hot_table(self.labels, z.shape[-1])
+        if hot.shape != z.shape:
+            if hot.shape[:-1] != z.shape[:-1]:
+                raise ValueError("labels do not match batch size")
+            raise ValueError(f"label width {hot.shape[-1]} does not match logit width {z.shape[-1]}")
+        n = z.shape[-2]
         p, log_p = softmax_and_log_softmax(z)
         log_p *= hot
-        loss = -np.add.reduce(log_p, axis=None) / n
+        loss = -np.add.reduce(log_p, axis=(-2, -1)) / n
         p -= hot
         p /= n
-        return float(loss), p
+        return loss, p
 
 
 @dataclass(eq=False)
@@ -214,8 +217,8 @@ class CombinedObjective(CrossEntropyOnLabels):
         self._teacher_probs, self._teacher_log_probs = softmax_and_log_softmax(
             np.atleast_2d(teacher_logits), tau
         )
-        super().__init__(labels, self._teacher_probs.shape[1])
-        if len(self._one_hot) != len(self._teacher_probs):
+        super().__init__(labels, self._teacher_probs.shape[-1])
+        if self._one_hot.shape != self._teacher_probs.shape:
             raise ValueError("labels and teacher logits differ in sample count")
 
     def loss_and_logit_grad(self, z):
@@ -225,15 +228,15 @@ class CombinedObjective(CrossEntropyOnLabels):
         ce_loss, grad = super().loss_and_logit_grad(z)
         # the expressions of skd_loss and DistillAgainstTeacher, teacher terms precomputed,
         # evaluated in place with the same operands and order
-        n = z.shape[0]
+        n = z.shape[-2]
         p, log_p = softmax_and_log_softmax(z, self.tau)
         np.subtract(self._teacher_log_probs, log_p, out=log_p)
         log_p *= pt
-        kd_loss = float(np.add.reduce(np.add.reduce(log_p, axis=1)) / n)
+        kd_loss = np.add.reduce(np.add.reduce(log_p, axis=-1), axis=-1) / n
         p -= pt
         p /= n * self.tau
         loss = self.lam * ce_loss + (1.0 - self.lam) * kd_loss
         grad *= self.lam
         p *= 1.0 - self.lam
         grad += p
-        return float(loss), grad
+        return loss, grad

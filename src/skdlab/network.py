@@ -9,6 +9,12 @@ A network's parameters live in one flat float64 vector (all weights, then
 all biases) that the ``weights`` and ``biases`` tuples view, so a layer can
 be written in place but not replaced.  Gradients and the optimizer's moments
 are flat vectors of the same layout, so an Adam step is one vectorised update.
+
+Every operation works on the last two axes, so the same code also runs a
+stack of k same-shape networks: an optional leading axis on the weights
+(k, fan_in, fan_out), the biases (k, fan_out), params (k, P), the features
+(k, n, d) and the losses.  Each slice of a stack gets the same bits as that
+network alone; a single network stays 2-D.
 """
 from __future__ import annotations
 
@@ -32,24 +38,31 @@ EPS = 1e-8
 
 @dataclass(eq=False)
 class DenseNetwork:
-    """Layer sizes plus parameters; the given arrays are copied into one flat vector."""
+    """Layer sizes plus parameters; the given arrays are copied into one flat vector.
+
+    The arrays may share a leading stack axis, as in (k, fan_in, fan_out) and
+    (k, fan_out): the network is then a stack of k networks and params is (k, P).
+    """
 
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     params: np.ndarray = field(init=False, repr=False)
     _layout: tuple = field(init=False, repr=False)
+    _bias_rows: tuple = field(init=False, repr=False)  # each bias as a (..., 1, fan_out) view
 
     def __post_init__(self):
         dims = self.layer_dims = tuple(whole_number(d, "layer dimension") for d in self.layer_dims)
         shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
         arrays = list(self.weights) + list(self.biases)
-        if [np.shape(a) for a in arrays] != shapes:
+        stack = np.shape(arrays[-1])[:-1] if arrays else ()
+        if [np.shape(a) for a in arrays] != [(*stack, *s) for s in shapes]:
             raise ValueError("parameter arrays do not match layer_dims")
         bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
         self._layout = tuple((slice(a, b), s) for a, b, s in zip(bounds, bounds[1:], shapes))
-        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        self.params = np.concatenate([np.reshape(a, (*stack, -1)) for a in arrays], axis=-1, dtype=float)
         self.weights, self.biases = self._views(self.params)
+        self._bias_rows = tuple(b[..., None, :] for b in self.biases)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the network, so its views share the new params
@@ -57,7 +70,7 @@ class DenseNetwork:
 
     def _views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Per-layer weight and bias views of a vector laid out like params."""
-        views = tuple(flat[piece].reshape(shape) for piece, shape in self._layout)
+        views = tuple(flat[..., piece].reshape(*flat.shape[:-1], *shape) for piece, shape in self._layout)
         return views[: len(self.layer_dims) - 1], views[len(self.layer_dims) - 1 :]
 
     @property
@@ -96,22 +109,22 @@ def init_network(layer_dims, seed) -> DenseNetwork:
 def _forward_pass(net: DenseNetwork, features) -> tuple[list[np.ndarray], np.ndarray]:
     """Each layer's input activations (the checked batch first) and the logits."""
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"features must be a 2-D batch, got {x.ndim} dimension(s)")
-    if x.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"feature dim {x.shape[1]} does not match network input {net.layer_dims[0]}")
+    if x.ndim != net.params.ndim + 1:  # (n, d), or (k, n, d) for a stack
+        raise ValueError(f"features must be a {net.params.ndim + 1}-D batch, got {x.ndim} dimension(s)")
+    if x.shape[-1] != net.layer_dims[0]:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match network input {net.layer_dims[0]}")
     activations = [x]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+    for w, b in zip(net.weights[:-1], net._bias_rows[:-1]):
         h = activations[-1] @ w
         h += b
         activations.append(np.maximum(h, 0.0, out=h))
     logits = activations[-1] @ net.weights[-1]
-    logits += net.biases[-1]
+    logits += net._bias_rows[-1]
     return activations, logits
 
 
 def forward(net: DenseNetwork, features) -> np.ndarray:
-    """Logits for a batch (n, d)."""
+    """Logits for a batch (n, d), or (k, n, d) for a stack of k networks."""
     x = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite features")
@@ -144,9 +157,12 @@ def backward(
     """Batch-mean loss and its exact analytic gradients.
 
     loss_spec supplies the output-layer story: it must expose
-    loss_and_logit_grad(logits) -> (scalar loss, dL/dlogits).  The chain
+    loss_and_logit_grad(logits) -> (loss, dL/dlogits).  The chain
     rule back through the ReLU stack is handled here.  A ReLU output is
-    positive exactly where its input is, so the activations double as masks.
+    positive exactly where its input is, so the activations double as masks:
+    np.sign of one is the 0/1 mask as floats, which multiplies without a cast.
+    For a stack of k networks, features are (k, n, d) and the loss has one
+    entry per network; a non-finite loss in any of them raises.
 
     The gradients are written into out, a GradientSet an earlier call
     returned for this network, and out is returned; without it they go into
@@ -154,10 +170,10 @@ def backward(
     it allocates one gradient buffer per run.
     """
     activations, logits = _forward_pass(net, features)
-    if len(logits) == 0:
+    if logits.shape[-2] == 0:
         raise ValueError("empty batch")
     loss, d_logits = loss_spec.loss_and_logit_grad(logits)
-    if not math.isfinite(loss):
+    if not math.isfinite(np.add.reduce(loss, axis=None)):
         raise FloatingPointError("non-finite loss")
 
     if out is None:
@@ -165,12 +181,12 @@ def backward(
         out = GradientSet(flat, *net._views(flat))
     delta = d_logits
     for li in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[li].T, delta, out=out.d_weights[li])
-        np.add.reduce(delta, axis=0, out=out.d_biases[li])
+        np.matmul(activations[li].swapaxes(-1, -2), delta, out=out.d_weights[li])
+        np.add.reduce(delta, axis=-2, out=out.d_biases[li])
         if li > 0:
-            delta = delta @ net.weights[li].T
-            delta *= activations[li] > 0
-    return float(loss), out
+            delta = delta @ net.weights[li].swapaxes(-1, -2)
+            delta *= np.sign(activations[li])
+    return loss, out
 
 
 @dataclass(eq=False)
@@ -206,7 +222,7 @@ def optimizer_step(net: DenseNetwork, grads: GradientSet, state: OptimizerState)
     so the result equals theirs to the last bit.
     """
     g = grads.flat
-    if not np.logical_and.reduce(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise FloatingPointError("non-finite gradient")
     params = net.params
     if state.m is None:
@@ -266,6 +282,8 @@ def load_checkpoint(path) -> tuple[DenseNetwork, dict]:
             [np.array(w, dtype=float) for w in payload["weights"]],
             [np.array(b, dtype=float) for b in payload["biases"]],
         )
+        if net.params.ndim != 1:  # a checkpoint holds one network, not a stack
+            raise ValueError("parameter arrays do not match layer_dims")
         if not np.isfinite(net.params).all():  # json reads NaN and Infinity
             raise ValueError("weights and biases must be finite")
     except (TypeError, ValueError) as exc:  # invalid JSON and non-number entries included

@@ -102,37 +102,50 @@ def _level_targets(ds: Dataset, level: str) -> tuple[int, np.ndarray]:
     raise ValueError(f"level must be 'class' or 'subclass', got {level!r}")
 
 
-def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig) -> TrainResult:
-    """Minibatch training of a fresh network on spec, a loss over all of features' rows.
+def _run_training(features: np.ndarray, spec, num_outputs: int, cfg: TrainConfig, seeds) -> TrainResult:
+    """Minibatch training of fresh networks on spec, a loss over all of features' rows.
 
-    Each epoch gathers the shuffled features and loss rows once; the
-    batches are contiguous slices of that gather.
+    seeds is one seed, or an array of seeds whose shape is a stack's: features
+    is then (*seeds.shape, n, d), spec's per-sample arrays lead with the same
+    axes, and the result holds the stack of networks and one loss_per_epoch
+    list per network.  Each network gets init key [seed, 0] and shuffle key
+    [seed, 1], and ends with the parameters and losses it gets trained alone.
+    Each epoch gathers the shuffled features and loss rows once; the batches
+    are contiguous slices of that gather.
     """
-    dims = (features.shape[1], *cfg.hidden_layers, num_outputs)
-    net = init_network(dims, [cfg.seed, 0])
+    seeds = np.asarray(seeds)
+    n, dim = features.shape[-2:]
+    dims = (dim, *cfg.hidden_layers, num_outputs)
+    nets = [init_network(dims, [seed, 0]) for seed in seeds.ravel().tolist()]
+    params = np.reshape([one.params for one in nets], (*seeds.shape, -1))  # a row per network
+    net = DenseNetwork(dims, *nets[0]._views(params))
     state = OptimizerState(
         learning_rate=cfg.learning_rate,
         lr_decay=cfg.lr_decay,
         weight_decay=cfg.weight_decay,
     )
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    n = len(features)
-    batches = [slice(start, start + cfg.batch_size) for start in range(0, n, cfg.batch_size)]
+    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds.ravel().tolist()]
+    # the stack axes' index of each network's own rows: () for one, (arange(k)[:, None],) for k
+    own = tuple(axis[..., None] for axis in np.indices(seeds.shape, sparse=True))
+    every = (slice(None),) * seeds.ndim
+    batches = [(*every, slice(start, start + cfg.batch_size)) for start in range(0, n, cfg.batch_size)]
     grads = None  # the first backward allocates the run's gradient buffer; later ones refill it
-    loss_per_epoch = []
+    step_losses = []
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_features, epoch_spec = features[order], spec.rows(order)
-        batch_losses = []
+        order = np.concatenate([rng.permutation(n) for rng in shuffle_rngs]).reshape(*seeds.shape, n)
+        epoch_features, epoch_spec = features[(*own, order)], spec.rows((*own, order))
         for batch in batches:
             loss, grads = backward(net, epoch_features[batch], epoch_spec.rows(batch), grads)
             optimizer_step(net, grads, state)
-            batch_losses.append(loss)
+            step_losses.append(loss)
         state.end_epoch()
-        loss_per_epoch.append(float(np.mean(batch_losses)))
-    if not np.isfinite(loss_per_epoch[-1]):
+    # each network's losses as one contiguous row, so each epoch's mean sums them in the
+    # order that the mean of that network alone does
+    losses = np.moveaxis(np.array(step_losses), 0, -1).copy().reshape(*seeds.shape, cfg.epochs, -1)
+    loss_per_epoch = np.mean(losses, axis=-1)
+    if not np.isfinite(loss_per_epoch[..., -1]).all():
         raise FloatingPointError("training diverged: final loss is not finite")
-    return TrainResult(net, loss_per_epoch)
+    return TrainResult(net, loss_per_epoch.tolist())
 
 
 def train_teacher(
@@ -173,7 +186,7 @@ def train_student(
         spec = CombinedObjective(
             labels, forward(teacher, train_set.features), distill.tau, distill.lam
         )
-    return _run_training(train_set.features, spec, width, cfg)
+    return _run_training(train_set.features, spec, width, cfg, cfg.seed)
 
 
 # ---------------------------------------------------------------------------

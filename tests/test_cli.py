@@ -783,9 +783,12 @@ class TestEvaluateCommand:
             payload = json.loads(ckpt.read_text())
             payload["weights"][0][0][0] = value
             non_finite.append(payload)
+        stacked = json.loads(ckpt.read_text())  # a stack of one network is not a checkpoint
+        for key in ("weights", "biases"):
+            stacked[key] = [[array] for array in stacked[key]]
         payloads = [
             json.dumps(p)
-            for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2], non_number, *non_finite)
+            for p in (truncated, {"format": "skdlab-net-v1"}, [1, 2], non_number, *non_finite, stacked)
         ]
         for text in (*payloads, "{bad"):
             ckpt.write_text(text)

@@ -322,3 +322,31 @@ class TestLossSpecs:
         spec = CrossEntropyOnLabels(self.labels, 4)
         with pytest.raises(ValueError, match="width"):
             spec.loss_and_logit_grad(np.zeros((6, 5)))
+
+    @pytest.mark.parametrize("kind", ["ce", "ce_width", "combined"])
+    def test_stack_rows_and_losses_match_each_network(self, kind):
+        # a spec over (k, n) labels, gathered by (network, order) and sliced by
+        # (every network, batch), gives network i what its own spec gives
+        rng = np.random.default_rng(12)
+        k, n, width = 3, 40, 4
+        labels = rng.integers(0, width, size=(k, n))
+        teacher = rng.standard_normal((k, n, width)) * 3
+        make = {
+            "ce": lambda y, t: CrossEntropyOnLabels(y),
+            "ce_width": lambda y, t: CrossEntropyOnLabels(y, width),
+            "combined": lambda y, t: CombinedObjective(y, t, tau=5.0, lam=0.45),
+        }[kind]
+        order = np.stack([rng.permutation(n) for _ in range(k)])
+        batch = slice(8, 14)
+        z = rng.standard_normal((k, 6, width)) * 2
+        stack = make(labels, teacher).rows((np.arange(k)[:, None], order)).rows((slice(None), batch))
+        loss, grad = stack.loss_and_logit_grad(z)
+        assert loss.shape == (k,)
+        for i in range(k):
+            one = make(labels[i], teacher[i]).rows(order[i]).rows(batch)
+            for name in one.PER_SAMPLE:
+                got, want = getattr(stack, name), getattr(one, name)
+                assert got is want is None or np.array_equal(got[i], want)
+            want_loss, want_grad = one.loss_and_logit_grad(z[i])
+            assert loss[i] == want_loss
+            assert np.array_equal(grad[i], want_grad)

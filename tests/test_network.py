@@ -20,6 +20,7 @@ from skdlab.losses import (
 from skdlab.network import (
     CHECKPOINT_FORMAT,
     EPS,
+    DenseNetwork,
     GradientSet,
     OptimizerState,
     backward,
@@ -89,22 +90,38 @@ class TestForward:
 
     def test_logits_are_bit_identical_at_one_and_two_blas_threads(self):
         # a teacher's 64->32 layer over a full 788-row split is the one product in the lab
-        # that wakes OpenBLAS's second thread; each child prints the raw bytes of its logits
-        code = (
-            "import sys, numpy as np; from skdlab.network import forward, init_network; "
-            "x = np.random.default_rng(7).standard_normal((788, 2)); "
-            "sys.stdout.buffer.write(forward(init_network((2, 64, 32, 4), 7), x).tobytes())"
+        # that wakes OpenBLAS's second thread
+        one, two = logit_bytes_at_one_and_two_threads("init_network((2, 64, 32, 4), 7)", (788, 2))
+        assert len(one) == 788 * 4 * 8
+        assert one == two
+
+    def test_stack_logits_are_bit_identical_at_one_and_two_blas_threads(self):
+        stack = (
+            "DenseNetwork((2, 64, 32, 4), *(list(map(np.stack, zip(*(getattr(n, part) for n in nets)))) "
+            "for part in ('weights', 'biases')))"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        logits = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
-            assert proc.returncode == 0, proc.stderr.decode()
-            logits.append(proc.stdout)
-        assert len(logits[0]) == 788 * 4 * 8
-        assert logits[0] == logits[1]
+        nets = "nets = [init_network((2, 64, 32, 4), s) for s in (7, 8, 9)]; "
+        one, two = logit_bytes_at_one_and_two_threads(stack, (3, 788, 2), nets)
+        assert len(one) == 3 * 788 * 4 * 8
+        assert one == two
+
+
+def logit_bytes_at_one_and_two_threads(net, shape, setup=""):
+    """The raw bytes of forward's logits, from one child process at each OpenBLAS thread count."""
+    code = (
+        "import sys, numpy as np; from skdlab.network import DenseNetwork, forward, init_network; "
+        f"{setup}x = np.random.default_rng(7).standard_normal({shape}); "
+        f"sys.stdout.buffer.write(forward({net}, x).tobytes())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    logits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        logits.append(proc.stdout)
+    return logits
 
 
 class TestSoftmax:
@@ -219,6 +236,64 @@ class TestBackward:
         assert loss == want_loss
         assert np.array_equal(g.flat, want.flat)
         assert all(np.shares_memory(a, buffer) for a in g.d_weights + g.d_biases)
+
+
+def stack_of(nets):
+    """One DenseNetwork holding the given same-shape networks along a leading axis."""
+    parts = [[np.stack(arrays) for arrays in zip(*(getattr(n, name) for n in nets))]
+             for name in ("weights", "biases")]
+    return DenseNetwork(nets[0].layer_dims, *parts)
+
+
+def stack_specs(kind, rng, k, n=10, width=4):
+    """A spec over a (k, n) label stack and the k per-network specs it stacks."""
+    labels = rng.integers(0, width, size=(k, n))
+    teacher = rng.standard_normal((k, n, width)) * 3
+    make = {
+        "ce": lambda y, t: CrossEntropyOnLabels(y),
+        "ce_width": lambda y, t: CrossEntropyOnLabels(y, width),
+        "combined": lambda y, t: CombinedObjective(y, t, tau=5.0, lam=0.45),
+    }[kind]
+    return make(labels, teacher), [make(y, t) for y, t in zip(labels, teacher)]
+
+
+class TestStack:
+    """A stack of k networks gives each slice the bits of that network's own 2-D calls."""
+
+    @pytest.mark.parametrize("kind", ["ce", "ce_width", "combined"])
+    def test_forward_backward_and_step_match_each_network(self, kind):
+        rng = np.random.default_rng(31)
+        nets = [init_network([3, 6, 5, 4], seed=s) for s in (1, 2, 3)]
+        stack = stack_of(nets)
+        assert stack.params.shape == (3, nets[0].params.size)
+        X = rng.standard_normal((3, 10, 3))
+        spec, specs = stack_specs(kind, rng, 3)
+        logits = forward(stack, X)
+        loss, grads = backward(stack, X, spec)
+        state = OptimizerState(learning_rate=0.01)
+        optimizer_step(stack, grads, state)
+        for i, (net, x, one) in enumerate(zip(nets, X, specs)):
+            assert np.array_equal(logits[i], forward(net, x))
+            want_loss, want = backward(net, x, one)
+            assert loss[i] == want_loss
+            for got_view, want_view in zip((grads.flat, *grads.d_weights, *grads.d_biases),
+                                           (want.flat, *want.d_weights, *want.d_biases)):
+                assert np.array_equal(got_view[i], want_view)
+            one_state = OptimizerState(learning_rate=0.01)
+            optimizer_step(net, want, one_state)
+            assert np.array_equal(stack.params[i], net.params)
+            assert np.array_equal(state.m[i], one_state.m) and np.array_equal(state.v[i], one_state.v)
+
+    def test_features_must_carry_the_stack_axis(self):
+        stack = stack_of([init_network([2, 3, 2], seed=s) for s in (1, 2)])
+        with pytest.raises(ValueError, match="3-D"):
+            forward(stack, np.zeros((4, 2)))
+
+    def test_leading_axes_must_agree(self):
+        nets = [init_network([2, 3, 2], seed=s) for s in (1, 2)]
+        weights = [np.stack([w, w]) for w in nets[0].weights]
+        with pytest.raises(ValueError, match="do not match layer_dims"):
+            DenseNetwork((2, 3, 2), weights, [np.stack([b] * 3) for b in nets[0].biases])
 
 
 def loop_adam_step(weights, biases, grads, moments, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):

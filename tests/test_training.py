@@ -5,8 +5,9 @@ import pytest
 
 from skdlab import training
 from skdlab.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
+from skdlab.experiment import VARIANT_TABLE, sl22_trend_config, train_variants
 from skdlab.hierarchy import LabelHierarchy, build_task_preset
-from skdlab.losses import DistillAgainstTeacher, DistillConfig
+from skdlab.losses import CombinedObjective, CrossEntropyOnLabels, DistillAgainstTeacher, DistillConfig
 from skdlab.network import backward, forward, init_network
 from skdlab.training import (
     Metrics,
@@ -217,6 +218,48 @@ class TestDivergence:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^non-finite loss$"):
                 train_student(split[0], cfg=cfg)
+
+
+class TestLockstep:
+    SEEDS = (1000, 1001, 1002)
+
+    def test_stack_trains_each_seed_as_alone(self):
+        # every VARIANT_TABLE row, trained as one stack of three seeds, must give each seed
+        # the parameters and per-epoch losses that seed's own train_teacher/train_student gives
+        cfg = sl22_trend_config(
+            teacher=teacher_train_config(epochs=2), student=student_train_config(epochs=2)
+        )
+        sets = [
+            split_dataset(generate_synthetic(cfg.data_spec(s)), cfg.train_fraction, s)[0]
+            for s in self.SEEDS
+        ]
+        alone = [train_variants(cfg, s, ds) for s, ds in zip(self.SEEDS, sets)]
+        features = np.stack([ds.features for ds in sets])
+        stacked = {}
+        for name, level, mode, teacher in VARIANT_TABLE:
+            width, _ = training._level_targets(sets[0], level)
+            labels = np.stack([training._level_targets(ds, level)[1] for ds in sets])
+            row_cfg = cfg.teacher if mode is None else cfg.student
+            if teacher is None:
+                spec = CrossEntropyOnLabels(labels, width)
+            else:
+                distill = cfg.distill_config(mode)
+                teacher_logits = forward(stacked[teacher].network, features)
+                spec = CombinedObjective(labels, teacher_logits, distill.tau, distill.lam)
+            stacked[name] = training._run_training(features, spec, width, row_cfg, np.array(self.SEEDS))
+            assert stacked[name].network.params.shape[0] == 3
+            for i, results in enumerate(alone):
+                assert np.array_equal(stacked[name].network.params[i], results[name].network.params), name
+                assert stacked[name].loss_per_epoch[i] == results[name].loss_per_epoch, name
+
+    def test_non_finite_loss_in_one_slice_raises(self, split):
+        # one NaN feature makes the second network's loss NaN on the batch that holds it
+        features = np.stack([split[0].features] * 2)
+        features[1, 5, 0] = np.nan
+        spec = CrossEntropyOnLabels(np.stack([split[0].subclass_labels] * 2), 4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^non-finite loss$"):
+                training._run_training(features, spec, 4, student_train_config(epochs=1), np.array([1, 2]))
 
 
 class TestSeparability:
