@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from math import exp, log, log2
@@ -80,6 +81,9 @@ EXP_M1 = exp(-1.0)
 # Blahut-Arimoto steps taken after a Newton step is refused for emptying an
 # output; the 7x13 channel of the tests then takes 93 Newton steps, not 1553
 NEWTON_PAUSE = 16
+# a confusion whose cells all lie below this over its column count sums each row to
+# under half of DBL_MAX, so no rounding in the row sums reaches inf
+_HALF_DBL_MAX = sys.float_info.max / 2
 _DETECTION_HIERARCHY = LabelHierarchy((1, 1))  # h0 and h1, whose rule checks n_h0 and n_h1
 
 
@@ -101,7 +105,15 @@ def binary_entropy(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Discrete memoryless channel: rows = true labels, columns = predictions."""
+    """Discrete memoryless channel: rows = true labels, columns = predictions.
+
+    ChannelSpec(transition) copies the matrix as floats, checks that it is 2-D with
+    entries in [0, 1] and rows that sum to 1 within ROW_SUM_TOL, and clips rounding
+    residue within 1e-15 of the range.  qsc_channel, bac_channel, z_channel and
+    confusion_to_channel build their channels with _trusted instead, without that
+    second check: each builds a fresh float matrix whose own parameter or count checks
+    already imply it, with no entry to clip.
+    """
 
     transition: np.ndarray
 
@@ -120,6 +132,13 @@ class ChannelSpec:
             t = np.clip(t, 0.0, 1.0)
         object.__setattr__(self, "transition", t)
 
+    @classmethod
+    def _trusted(cls, transition: np.ndarray) -> ChannelSpec:
+        """A channel on transition as it is, for a builder whose checks imply __post_init__'s."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "transition", transition)
+        return spec
+
     @property
     def input_size(self) -> int:
         return self.transition.shape[0]
@@ -132,23 +151,22 @@ def qsc_channel(n: int, p: float) -> ChannelSpec:
         raise ValueError("alphabet size must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    off = (1.0 - p) / (n - 1)
-    t = np.full((n, n), off)
-    np.fill_diagonal(t, p)
-    return ChannelSpec(t)
+    t = np.full((n, n), (1.0 - p) / (n - 1), dtype=float)
+    t.flat[:: n + 1] = p  # the diagonal
+    return ChannelSpec._trusted(t)
 
 
 def bac_channel(p_h0: float, p_h1: float) -> ChannelSpec:
     """Binary asymmetric channel with per-input accuracies."""
     _bac_canonical(p_h0, p_h1)  # checks both accuracies
-    return ChannelSpec(np.array([[p_h0, 1.0 - p_h0], [1.0 - p_h1, p_h1]]))
+    return ChannelSpec._trusted(np.array([[p_h0, 1.0 - p_h0], [1.0 - p_h1, p_h1]], dtype=float))
 
 
 def z_channel(p_flip: float) -> ChannelSpec:
     """First input noiseless; second flips to the first with p_flip."""
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must lie in [0, 1]")
-    return ChannelSpec(np.array([[1.0, 0.0], [p_flip, 1.0 - p_flip]]))
+    return ChannelSpec._trusted(np.array([[1.0, 0.0], [p_flip, 1.0 - p_flip]], dtype=float))
 
 
 def mutual_information(input_dist, channel: ChannelSpec) -> float:
@@ -529,7 +547,7 @@ class DetectionParams:
         object.__setattr__(self, "n_s", whole_number(self.n_s, "n_s"))
         if self.n_s < 1:
             raise ValueError("n_s must be at least 1")
-        if self.n_s > 1 and not 0.0 < self.p_s <= 1.0:
+        if self.n_s > 1 and (self.p_s is None or not 0.0 < self.p_s <= 1.0):
             raise ValueError("p_s must lie in (0, 1]")
         try:
             (n_h0,), (n_h1,) = _DETECTION_HIERARCHY.sample_counts(((self.n_h0,), (self.n_h1,)))
@@ -564,24 +582,34 @@ def confusion_to_channel(confusion_counts) -> ChannelSpec:
     """Row-normalize an empirical confusion matrix into a channel.
 
     The counts must form a 2-D matrix, finite and nonnegative, with a finite
-    sum and at least one sample per true label.
+    sum and at least one sample per true label.  A minimum of at least 0 and a
+    maximum below _HALF_DBL_MAX / columns prove the cells finite and
+    nonnegative and the row sums finite in two reductions; a matrix that fails
+    that test takes _check_confusion_cells, so each bad input gets the same
+    first message whichever way it is checked.
     """
     c = np.asarray(confusion_counts, dtype=float)
     if c.ndim != 2 or not c.size:
         raise ValueError("confusion counts must be a 2-D matrix")
+    if not (np.minimum.reduce(c, axis=None) >= 0.0  # NaN fails both
+            and np.maximum.reduce(c, axis=None) < _HALF_DBL_MAX / c.shape[1]):
+        _check_confusion_cells(c)
+    rows = np.add.reduce(c, axis=1, keepdims=True)
+    if not np.logical_and.reduce(rows, axis=None):
+        raise ValueError("every true label needs at least one sample")
+    return ChannelSpec._trusted(c / rows)  # the checks above imply ChannelSpec's own
+
+
+def _check_confusion_cells(c: np.ndarray) -> None:
+    """Refuse a non-finite or negative cell, then a row whose sum overflows, in that order."""
     if not np.logical_and.reduce(np.isfinite(c), axis=None):
         raise ValueError("confusion counts must be finite")
     if np.logical_or.reduce(c < 0, axis=None):
         raise ValueError("confusion counts must be nonnegative")
-    with np.errstate(over="ignore"):  # a row that sums to inf is refused below, unwarned
-        rows = np.add.reduce(c, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a row that sums to inf is refused here, unwarned
+        rows = np.add.reduce(c, axis=1)
     if not np.logical_and.reduce(np.isfinite(rows), axis=None):
         raise ValueError("confusion counts must sum to a finite number in every row")
-    if not np.logical_and.reduce(rows, axis=None):
-        raise ValueError("every true label needs at least one sample")
-    spec = object.__new__(ChannelSpec)  # no __post_init__: the checks above imply its own
-    object.__setattr__(spec, "transition", c / rows)
-    return spec
 
 
 def _accuracy(c: np.ndarray) -> float:
@@ -625,8 +653,9 @@ def counts_from_confusions(class_confusion, per_class_subclass_confusions) -> tu
     """Per-subclass sample counts by class: the row sums of each class's subclass
     confusion, or of its class-confusion row if it has none (a lone subclass)."""
     class_conf = np.asarray(class_confusion)
-    sums = (np.sum(class_conf[[c]] if conf is None else conf, axis=1)
-            for c, conf in enumerate(per_class_subclass_confusions))
+    with np.errstate(over="ignore"):  # a row that sums to inf is refused below, unwarned
+        sums = [np.sum(class_conf[[c]] if conf is None else conf, axis=1)
+                for c, conf in enumerate(per_class_subclass_confusions)]
     return tuple(tuple(whole_number(n, "confusion row sum") for n in row) for row in sums)
 
 

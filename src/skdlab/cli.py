@@ -177,6 +177,11 @@ def _read_matrix(path, counts: bool = False) -> np.ndarray:
                     whole_number(v, "confusion count")
             except ValueError as exc:
                 raise ValueError(f"{p}:{lineno}: confusion counts must be whole numbers") from exc
+            with np.errstate(over="ignore"):  # the row sum capacity takes, unwarned
+                if np.isinf(np.add.reduce(values)):
+                    raise ValueError(
+                        f"{p}:{lineno}: confusion counts must sum to a finite number in every row"
+                    )
             rows.append(values)
     if not rows:
         raise ValueError(f"{p}: no rows")
@@ -379,7 +384,9 @@ def cmd_bits(args) -> int:
             sub_confs[c] = _read_confusion(
                 path, hierarchy.subclasses_per_class[c], f"class {c} subclass confusion"
             )
-            held, row_total = sub_confs[c].sum(), class_conf[c].sum()
+            with np.errstate(over="ignore"):  # each row is finite, but their total can read inf
+                held = sub_confs[c].sum()
+            row_total = class_conf[c].sum()
             if held != row_total:
                 raise ValueError(f"{path}: class {c} subclass confusion holds {held:.0f} samples, "
                                  f"its class confusion row {row_total:.0f}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 def whole_number(value, what: str) -> int:
     """value as an int if it is a whole number: the one rule for every count, size and width.
     3, 3.0 and np.int64(3) give 3; 2.5, NaN, infinities, bools and non-numbers raise ValueError."""
+    if type(value) is int:  # the common case; a bool is its own type and is refused below
+        return value
     try:
         if not isinstance(value, (bool, str)) and int(value) == value:
             return int(value)

@@ -105,6 +105,23 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_builders_channels_pass_the_public_checks_unchanged(self, n):
+        # the builders skip ChannelSpec's check, since their own imply it: the public
+        # constructor accepts each channel as it is, unclipped, as the same float matrix
+        ps = [0, 0.0, 1 / n, 0.5, 1, 1.0]  # 0 and 1 also as ints; bac_channel refuses 0
+        channels = [qsc_channel(n, p) for p in ps]
+        channels += [bac_channel(a, b) for a in ps if a for b in ps if b]
+        channels += [z_channel(p) for p in ps]
+        for ch in channels:
+            assert type(ch) is ChannelSpec and ch.transition.dtype == np.float64
+            np.testing.assert_array_equal(ChannelSpec(ch.transition).transition, ch.transition)
+
+    @pytest.mark.parametrize("build", [lambda p: qsc_channel(3, p), lambda p: bac_channel(p, p),
+                                       z_channel], ids=["qsc", "bac", "z"])
+    def test_float32_parameters_give_float64_channels(self, build):
+        assert build(np.float32(0.7)).transition.dtype == np.float64
+
 
 class TestMutualInformation:
     def test_identity_channel_uniform_input(self):
@@ -884,6 +901,11 @@ class TestDetectionBound:
         with pytest.raises(ValueError, match="n_s must be at least 1"):
             DetectionParams(0.9, 0.9, n_s, 0.85, 2162, 990)
 
+    @pytest.mark.parametrize("p_s", [None, 0.0, 1.5, float("nan")])
+    def test_p_s_checked_when_the_alternative_is_split(self, p_s):
+        with pytest.raises(ValueError, match=r"^p_s must lie in \(0, 1\]$"):
+            DetectionParams(0.9, 0.8, 2, p_s, 100, 50)
+
     @pytest.mark.parametrize("n_s", [2.0, np.int64(2)], ids=["float", "int64"])
     def test_whole_n_s_stored_as_int(self, n_s):
         params = DetectionParams(0.9, 0.9, n_s, 0.85, 2162, 990)
@@ -1012,6 +1034,36 @@ class TestFittedAccuracy:
             with pytest.raises(ValueError, match="confusion counts must sum to a finite number"):
                 confusion_to_channel([[1e308, 1e308], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([[float("nan"), -1], [20, 80]], "confusion counts must be finite"),
+         ([[-float("inf"), 10], [20, 80]], "confusion counts must be finite"),
+         ([[float("inf"), 10], [20, 80]], "confusion counts must be finite"),
+         ([[1e308, 1e308], [-1, 80]], "confusion counts must be nonnegative"),
+         ([[0, 0], [float("nan"), 80]], "confusion counts must be finite"),
+         ([[0, 0], [1e308, 1e308]], "confusion counts must sum to a finite number in every row"),
+         ([[0, 0], [-0.0, 80]], "every true label needs at least one sample")],
+        ids=["nan and negative", "-inf", "+inf", "overflow and negative", "zero row and nan",
+             "zero row and overflow", "zero row and -0"],
+    )
+    def test_first_message_of_a_mixed_bad_confusion(self, bad, message):
+        # a confusion that fails the two-reduction test is checked in the order of the
+        # messages; each gets its first, unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                confusion_to_channel(bad)
+        assert str(info.value) == message
+
+    def test_cells_near_the_overflow_bound(self):
+        # cells at and past half of DBL_MAX / columns take the cell-by-cell checks; rows
+        # that still sum to a finite number build the same channel
+        half = np.finfo(float).max / 2
+        for c in ([[half / 2, half / 2], [1, 1]], [[half, half], [1, 3]],
+                  [[half / 3, half / 3, half / 3], [0, 1, 0]]):
+            np.testing.assert_array_equal(confusion_to_channel(c).transition,
+                                          np.divide(c, np.sum(c, axis=1, keepdims=True)))
+
     @pytest.mark.parametrize("bad", [[9, 1], [[[9, 1], [2, 8]]], np.zeros((0, 2))],
                              ids=["1-D", "3-D", "no rows"])
     def test_confusion_must_be_2d(self, bad):
@@ -1082,6 +1134,11 @@ class TestLabelBitsReport:
         sub_conf = np.array([[0.2, 0.05], [0.05, 0.2]])
         with pytest.raises(ValueError, match="confusion row sum must be a whole number"):
             counts_from_confusions(class_conf, [sub_conf, None])
+
+    def test_counts_from_an_overflowing_row_rejected_unwarned(self):
+        # the first class row sums to inf; numpy's overflow warning would fail this test
+        with pytest.raises(ValueError, match="confusion row sum must be a whole number, got .*inf"):
+            counts_from_confusions([[1e308, 1e308], [1, 1]], [None, None])
 
     def test_class_level_route_has_no_subclass_column(self):
         h = build_task_preset("ClassLevel")

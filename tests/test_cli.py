@@ -144,11 +144,11 @@ class TestCapacityCommand:
         assert code == 2 and out == "" and "bad.csv:2: non-finite" in err
 
     def test_overflowing_matrix_row(self, capsys, tmp_path):
-        # every cell is finite, but the first row sums to inf: refused as counts, unwarned
+        # every cell is finite, but the first row sums to inf: refused with its line, unwarned
         m = tmp_path / "big.csv"
-        m.write_text("1e308,1e308\n1,1\n")
+        m.write_text("1,1\n1e308,1e308\n")
         code, out, err = run(capsys, "capacity", "--matrix", str(m))
-        message = "error: confusion counts must sum to a finite number in every row\n"
+        message = f"error: {m}:2: confusion counts must sum to a finite number in every row\n"
         assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
@@ -332,10 +332,18 @@ class TestBitsCommand:
             ("sub", "40,10\n10,39.5\n", "sub.csv:2: confusion counts must be whole numbers"),
             ("sub", "30,10\n10,10\n",
              "sub.csv: class 0 subclass confusion holds 60 samples, its class confusion row 100"),
+            # each cell finite, a row or the total past DBL_MAX: refused without numpy's warning
+            ("class", "1e308,1e308\n20,80\n",
+             "class.csv:1: confusion counts must sum to a finite number in every row"),
+            ("sub", "40,10\n1e308,1e308\n",
+             "sub.csv:2: confusion counts must sum to a finite number in every row"),
+            ("sub", "1e308,0\n0,1e308\n",
+             "sub.csv: class 0 subclass confusion holds inf samples, its class confusion row 100"),
         ],
         ids=[
             "sub-shape", "sub-negative", "class-negative", "class-zero-row", "sub-zero-row",
-            "class-fraction", "sub-fraction", "sub-total",
+            "class-fraction", "sub-fraction", "sub-total", "class-overflow", "sub-overflow",
+            "sub-total-overflow",
         ],
     )
     def test_bad_confusion_file_is_named(self, capsys, tmp_path, bad, text, message):
